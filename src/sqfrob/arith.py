@@ -172,15 +172,21 @@ def _mu_j(S, prof):
             mu, j = mu - 1, n
 
 
-def bound_edge(S: ApSemigroup) -> int:
-    """The index (mu - k)*d + alpha_{j+1} entering the square upper bound."""
+def _bound_parts(S):
+    # (profile, cell, edge) with lambda_profile taken once; the closed forms
+    # read their branch from the same cell
     if S.d < 3:
         raise DTooSmall(f"the square bound needs d >= 3, got {S.d}")
     prof = lambda_profile(S.a, S.d)
     cell = _mu_j(S, prof)
     n = len(prof.alphas)
     alpha_next = prof.alphas[cell.j] if cell.j < n else prof.alpha_next
-    return (cell.mu - S.k) * S.d + alpha_next
+    return prof, cell, (cell.mu - S.k) * S.d + alpha_next
+
+
+def bound_edge(S: ApSemigroup) -> int:
+    """The index (mu - k)*d + alpha_{j+1} entering the square upper bound."""
+    return _bound_parts(S)[2]
 
 
 def bound_B(S: ApSemigroup) -> int:

@@ -14,11 +14,12 @@ import csv
 import io
 import json
 import sys
+from math import isqrt
 
 from .arith import ApSemigroup, bound_B, bound_edge, lambda_profile, mu_j
 from .closedform import square_frobenius_closed
-from .core import SemigroupError, contains, frobenius, make_semigroup
-from .power import PowerFrobResult, isqrt, power_frobenius_oracle, power_min_oracle
+from .core import NumericalSemigroup, SemigroupError, contains, frobenius
+from .power import PowerFrobResult, power_frobenius_oracle, power_min_oracle
 from .verify import (compare_table1, exception_set, reproduce_table2,
                      verify_conjectures, verify_min_power_theorem,
                      verify_theorem_bound)
@@ -87,15 +88,15 @@ def _emit(payload, fmt):
 
 
 def _cmd_frobenius(args):
-    return frobenius(make_semigroup(args.gens)), 0
+    return frobenius(NumericalSemigroup(args.gens)), 0
 
 
 def _cmd_member(args):
-    return contains(make_semigroup(args.gens), args.value), 0
+    return contains(NumericalSemigroup(args.gens), args.value), 0
 
 
 def _closed_form_result(gens, k):
-    S = make_semigroup(gens)
+    S = NumericalSemigroup(gens)
     norm = S.generators
     if k != 2:
         raise SemigroupError("closed forms cover squares only (need --k 2)")
@@ -110,11 +111,11 @@ def _closed_form_result(gens, k):
 def _cmd_power_frob(args):
     if args.method == "closed":
         return _closed_form_result(args.gens, args.k), 0
-    return power_frobenius_oracle(make_semigroup(args.gens), args.k), 0
+    return power_frobenius_oracle(NumericalSemigroup(args.gens), args.k), 0
 
 
 def _cmd_power_min(args):
-    return power_min_oracle(make_semigroup(args.gens), args.k), 0
+    return power_min_oracle(NumericalSemigroup(args.gens), args.k), 0
 
 
 def _cmd_bound(args):

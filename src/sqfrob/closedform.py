@@ -1,25 +1,64 @@
 """Closed forms for the square Frobenius number of <a, a+d>, d = 1..5.
 
-For d = 3, 4, 5 the answer is exact: per residue class of a there is a fixed
-two-residue grid mod d and a linear target t(a); the answer is (a - i)^2
-where i is the grid predecessor of the largest grid point x with x^2 <= t.
-For d = 5 a short exception list comes first.
+For d = 3, 4, 5 the answer is exact: it is the golden value of table2.tsv
+when (d, a) has a row there, and otherwise the bound B(a, d, 1) of arith,
+which equals the square Frobenius number outside that finite exception set.
+The branch label and b come from the alpha-grid cell the bound brackets.
 
 For d = 1, 2 the generic (non-square) case is exact as well; when a sits on
 or next to a perfect square the value returned follows the conjectured
 branch rule over the u-sequence, and callers can pass use_oracle=True to get
 the brute-force truth instead.
+
+This module is the one parser of the golden tables table1.tsv and table2.tsv.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import isqrt
+from functools import cache
+from importlib import resources
+from math import gcd, isqrt
 
-from .arith import ApSemigroup
+from .arith import ApSemigroup, _bound_parts
 from .core import SemigroupError
 from .power import power_frobenius_oracle
+
+
+@cache
+def _data_text(name):
+    return resources.files("sqfrob").joinpath(f"data/{name}").read_text(encoding="ascii")
+
+
+def load_table1() -> dict[int, list[int]]:
+    """Golden exception sets, keyed by d."""
+    out = {}
+    for line in _data_text("table1.tsv").splitlines()[1:]:
+        if not line.strip():
+            continue
+        d, count, members = line.split("\t")
+        vals = [] if members == "-" else [int(x) for x in members.split(",")]
+        if len(vals) != int(count):
+            raise ValueError(f"corrupt golden table1 row for d={d}")
+        out[int(d)] = vals
+    return out
+
+
+def load_table2() -> list[tuple[int, int, int, int]]:
+    """Golden rows (d, a, sqfrob_root, bound_root) for the exceptional cases."""
+    rows = []
+    for line in _data_text("table2.tsv").splitlines()[1:]:
+        if not line.strip():
+            continue
+        d, a, r1, r2 = (int(x) for x in line.split("\t"))
+        rows.append((d, a, r1, r2))
+    return rows
+
+
+@cache
+def _golden_roots():
+    return {(d, a): root for d, a, root, _ in load_table2()}
 
 
 class BadResidue(SemigroupError):
@@ -115,81 +154,36 @@ def _oracle_answer(a, d, branch):
     return ClosedFormAnswer(a, d, res.value, res.root, branch)
 
 
-def _grid_down(v, d, residues):
-    # largest grid point <= v (grid = integers congruent to one of residues mod d)
-    while v % d not in residues:
-        v -= 1
-    return v
-
-
-def _grid_up(v, d, residues):
-    while v % d not in residues:
-        v += 1
-    return v
-
-
-def _bracket_answer(a, d, t, residues, branch_of):
-    """Shared d = 3, 4, 5 skeleton: bracket sqrt(t) on the grid, step back once."""
-    x = _grid_down(isqrt(t), d, residues)
-    succ = _grid_up(x + 1, d, residues)
-    if not (x >= 1 and x * x <= t < succ * succ):
-        # defensive: not reachable for valid inputs, but never guess
-        return _oracle_answer(a, d, "oracle-fallback")
-    i = _grid_down(x - 1, d, residues)
-    branch, b = branch_of(x)
-    root = a - i
-    return ClosedFormAnswer(a, d, root * root, root, branch, b)
+def _sq_frob_ap(a, d):
+    """Shared d = 3, 4, 5 form: the golden exception row, else the bound B(a, d, 1)."""
+    if a < 2:
+        raise SemigroupError(f"a must be >= 2, got {a}")
+    if gcd(a, d) != 1:
+        raise BadResidue(f"a = {a} shares a factor with d = {d}")
+    root = _golden_roots().get((d, a))
+    if root is not None:
+        return ClosedFormAnswer(a, d, root * root, root, "exception")
+    prof, cell, edge = _bound_parts(ApSemigroup(a, d, 1))
+    # the branch names the residue r of the grid point mu*d + r bracketing the target
+    r = prof.alphas[cell.j - 1]
+    branch = f"{d}b-{r}" if 2 * r < d else f"{d}b+{d - r}"
+    root = a - edge
+    return ClosedFormAnswer(a, d, root * root, root, branch, cell.mu)
 
 
 def sq_frob_d3(a: int) -> ClosedFormAnswer:
     """Square Frobenius number of <a, a+3>."""
-    if a < 2:
-        raise SemigroupError(f"a must be >= 2, got {a}")
-    r = a % 3
-    if r == 0:
-        raise BadResidue(f"a = {a} is divisible by 3")
-    t = a + 3 if r == 1 else 2 * (a + 3)
-    return _bracket_answer(a, 3, t, (1, 2),
-                           lambda x: ("3b-1", (x - 1) // 3) if x % 3 == 1
-                           else ("3b+1", (x - 2) // 3))
+    return _sq_frob_ap(a, 3)
 
 
 def sq_frob_d4(a: int) -> ClosedFormAnswer:
     """Square Frobenius number of <a, a+4>."""
-    if a < 3:
-        raise SemigroupError(f"a must be >= 3, got {a}")
-    r = a % 4
-    if r % 2 == 0:
-        raise BadResidue(f"a = {a} is even")
-    t = a + 4 if r == 1 else 3 * (a + 4)
-    return _bracket_answer(a, 4, t, (1, 3),
-                           lambda x: ("4b-1", (x - 1) // 4) if x % 4 == 1
-                           else ("4b+1", (x - 3) // 4))
-
-
-_D5_EXCEPTION_ROOTS = {2: 1, 4: 1, 13: 10, 27: 21, 32: 26}
-
-_D5_BRANCHES = {
-    1: lambda x: ("5b-1", (x - 1) // 5),
-    4: lambda x: ("5b+1", (x - 4) // 5),
-    2: lambda x: ("5b-2", (x - 2) // 5),
-    3: lambda x: ("5b+2", (x - 3) // 5),
-}
+    return _sq_frob_ap(a, 4)
 
 
 def sq_frob_d5(a: int) -> ClosedFormAnswer:
     """Square Frobenius number of <a, a+5>."""
-    if a < 2:
-        raise SemigroupError(f"a must be >= 2, got {a}")
-    r = a % 5
-    if r == 0:
-        raise BadResidue(f"a = {a} is divisible by 5")
-    if a in _D5_EXCEPTION_ROOTS:
-        root = _D5_EXCEPTION_ROOTS[a]
-        return ClosedFormAnswer(a, 5, root * root, root, "exception")
-    residues = (1, 4) if r in (1, 3) else (2, 3)
-    t = a + 5 if r in (1, 4) else 2 * (a + 5)
-    return _bracket_answer(a, 5, t, residues, lambda x: _D5_BRANCHES[x % 5](x))
+    return _sq_frob_ap(a, 5)
 
 
 def sq_frob_d1(a: int, *, use_oracle: bool = False) -> ClosedFormAnswer:

@@ -12,12 +12,11 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 from math import gcd
 from multiprocessing import Pool
 
 from .arith import ApSemigroup, DTooSmall, bound_B, lambda_profile
-from .closedform import sq_frob_d1, sq_frob_d2
+from .closedform import load_table1, load_table2, sq_frob_d1, sq_frob_d2
 from .power import power_frobenius_oracle, power_min_oracle
 
 DEFAULT_CHUNK = 4096
@@ -27,7 +26,10 @@ def resolve_jobs(jobs=None) -> int:
     """Worker count: explicit argument wins, then SQFROB_JOBS, then 1."""
     if jobs is None:
         env = os.environ.get("SQFROB_JOBS", "").strip()
-        jobs = int(env) if env else 1
+        try:
+            jobs = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"SQFROB_JOBS must be an integer, got {env!r}") from None
     return max(1, int(jobs))
 
 
@@ -134,35 +136,6 @@ class SweepReport:
         if self.extra:
             lines.append(f"extra:    {self.extra}")
         return "\n".join(lines)
-
-
-def _data_text(name):
-    return resources.files("sqfrob").joinpath(f"data/{name}").read_text(encoding="ascii")
-
-
-def load_table1() -> dict[int, list[int]]:
-    """Golden exception sets, keyed by d."""
-    out = {}
-    for line in _data_text("table1.tsv").splitlines()[1:]:
-        if not line.strip():
-            continue
-        d, count, members = line.split("\t")
-        vals = [] if members == "-" else [int(x) for x in members.split(",")]
-        if len(vals) != int(count):
-            raise ValueError(f"corrupt golden table1 row for d={d}")
-        out[int(d)] = vals
-    return out
-
-
-def load_table2() -> list[tuple[int, int, int, int]]:
-    """Golden rows (d, a, sqfrob_root, bound_root) for the exceptional cases."""
-    rows = []
-    for line in _data_text("table2.tsv").splitlines()[1:]:
-        if not line.strip():
-            continue
-        d, a, r1, r2 = (int(x) for x in line.split("\t"))
-        rows.append((d, a, r1, r2))
-    return rows
 
 
 def _equality_chunk(d, lo, hi):

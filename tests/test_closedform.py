@@ -114,6 +114,20 @@ def test_d2_branches(a, branch):
     assert sq.sq_frob_d2(a).branch == branch
 
 
+@pytest.mark.parametrize("d,a,root,branch,b", [
+    (3, 41, 34, "3b+1", 2), (3, 46, 41, "3b-1", 2),
+    (4, 43, 34, "4b+1", 2), (4, 41, 38, "4b-1", 1),
+    (5, 43, 37, "5b+1", 1), (5, 42, 35, "5b+2", 1),
+    (5, 41, 37, "5b-1", 1), (5, 44, 41, "5b-2", 1),
+    (3, 10**12 + 1, 999998585790, "3b-1", 471404),
+    (4, 10**12 + 1, 999999000004, "4b+1", 249999),
+    (5, 10**12 + 1, 999999000005, "5b+1", 199999),
+])
+def test_d3_d4_d5_branches(d, a, root, branch, b):
+    ans = sq.square_frobenius_closed(a, d)
+    assert (ans.root, ans.branch, ans.b) == (root, branch, b)
+
+
 def test_answer_is_a_square_and_fields_agree():
     for a in range(2, 120):
         for d in range(1, 6):

@@ -99,6 +99,10 @@ def test_jobs_env_fallback(monkeypatch):
     monkeypatch.setenv("SQFROB_JOBS", "3")
     assert sq.verify.resolve_jobs(None) == 3
     assert sq.verify.resolve_jobs(2) == 2
+    monkeypatch.setenv("SQFROB_JOBS", "abc")
+    with pytest.raises(ValueError, match="SQFROB_JOBS.*'abc'"):
+        sq.verify.resolve_jobs(None)
+    assert sq.verify.resolve_jobs(2) == 2
 
 
 def test_sweep_report_json_shape():
