@@ -14,11 +14,12 @@ import csv
 import io
 import json
 import sys
-from math import isqrt
+from math import gcd, isqrt
 
-from .arith import ApSemigroup, bound_B, bound_edge, lambda_profile, mu_j
+from .arith import ApSemigroup, _bound_parts, ap_contains
 from .closedform import square_frobenius_closed
-from .core import NumericalSemigroup, SemigroupError, contains, frobenius
+from .core import (NumericalSemigroup, SemigroupError, _checked_generators,
+                   contains, frobenius)
 from .power import PowerFrobResult, power_frobenius_oracle, power_min_oracle
 from .verify import (compare_table1, exception_set, reproduce_table2,
                      verify_conjectures, verify_min_power_theorem,
@@ -96,15 +97,19 @@ def _cmd_member(args):
 
 
 def _closed_form_result(gens, k):
-    S = NumericalSemigroup(gens)
-    norm = S.generators
+    # Decides <gens> = <a, a+d> without an Apery table: a is the least
+    # generator, a+d the least one a does not divide, and every generator
+    # must be in <a, a+d>.
+    gens = _checked_generators(gens)
     if k != 2:
         raise SemigroupError("closed forms cover squares only (need --k 2)")
-    if len(norm) != 2 or not 1 <= norm[1] - norm[0] <= 5:
+    a = gens[0]
+    b = next((g for g in gens if g % a), None)
+    if (b is None or not 1 <= b - a <= 5 or gcd(a, b) != 1
+            or not all(ap_contains(ApSemigroup(a, b - a, 1), g) for g in gens)):
         raise SemigroupError(
-            f"closed forms cover <a, a+d> with d in 1..5; got generators {list(norm)}")
-    a, d = norm[0], norm[1] - norm[0]
-    ans = square_frobenius_closed(a, d)
+            f"closed forms cover <a, a+d> with d in 1..5; got generators {gens}")
+    ans = square_frobenius_closed(a, b - a)
     return PowerFrobResult(k=2, root=ans.root, value=ans.value, method="closed_form")
 
 
@@ -119,16 +124,14 @@ def _cmd_power_min(args):
 
 
 def _cmd_bound(args):
-    S = ApSemigroup(args.a, args.d, args.k)
-    value = bound_B(S)
+    prof, cell, edge = _bound_parts(ApSemigroup(args.a, args.d, args.k))
+    value = (args.a - edge) ** 2
     payload = {"a": args.a, "d": args.d, "k": args.k,
                "root": isqrt(value), "value": value, "method": "bound"}
     if args.dump_profile:
-        prof = lambda_profile(args.a, args.d)
-        cell = mu_j(S)
         payload["profile"] = prof.to_dict()
         payload["profile"].update({"mu": cell.mu, "j": cell.j, "target": cell.target,
-                                   "edge": bound_edge(S)})
+                                   "edge": edge})
     return payload, 0
 
 

@@ -41,52 +41,35 @@ class FullSemigroup(SemigroupError):
     """The semigroup is all of N, so the requested quantity does not exist."""
 
 
-def _representable(n, gens):
-    # n >= 0, gens sorted ascending.  Bitset knapsack with unlimited reuse.
+def _checked_generators(generators):
+    # sorted distinct generators, or the SemigroupError that rules them out
+    gens = sorted({int(g) for g in generators})
     if not gens:
-        return n == 0
-    if len(gens) == 1:
-        return n % gens[0] == 0
-    mask = (1 << (n + 1)) - 1
-    bits = 1
-    for g in gens:
-        if g > n:
-            break
-        prev = -1
-        while bits != prev:
-            prev = bits
-            bits = (bits | (bits << g)) & mask
-        if (bits >> n) & 1:
-            return True
-    return bool((bits >> n) & 1)
-
-
-def _minimal_generators(gens):
-    kept = []
-    for g in gens:
-        if not _representable(g, kept):
-            kept.append(g)
-    return tuple(kept)
+        raise EmptyGenerators("at least one generator is required")
+    if gens[0] < 1:
+        raise ZeroGenerator(f"generators must be positive, got {gens[0]}")
+    g = 0
+    for v in gens:
+        g = gcd(g, v)
+    if g != 1:
+        raise NonCoprime(f"generators {gens} have gcd {g}")
+    return gens
 
 
 class NumericalSemigroup:
-    """Immutable semigroup; stores the canonical (sorted, minimal) generators."""
+    """Immutable semigroup; stores the canonical (sorted, minimal) generators.
+
+    Construction builds the Apery table of the multiplicity, which is what
+    finds the minimal generators: O(m * len(generators)) time, O(m) memory.
+    """
 
     __slots__ = ("_gens", "_apery_cache")
 
     def __init__(self, generators):
-        gens = sorted({int(g) for g in generators})
-        if not gens:
-            raise EmptyGenerators("at least one generator is required")
-        if gens[0] < 1:
-            raise ZeroGenerator(f"generators must be positive, got {gens[0]}")
-        g = 0
-        for v in gens:
-            g = gcd(g, v)
-        if g != 1:
-            raise NonCoprime(f"generators {gens} have gcd {g}")
-        self._gens = _minimal_generators(gens)
-        self._apery_cache = {}
+        gens = _checked_generators(generators)
+        m = gens[0]
+        self._gens, entries = _apery_entries(gens, m)
+        self._apery_cache = {m: AperyTable(m, entries)}
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -134,12 +117,19 @@ class AperyTable:
 
 
 def _apery_entries(gens, m):
-    # Shortest-path relaxation over residues mod m.  Generators are folded in
-    # one at a time; per +g cycle, one relaxing lap starting from the cycle
-    # minimum is exact, so the whole table costs O(m * len(gens)).
+    # Shortest-path relaxation over residues mod m, for sorted distinct gens
+    # containing m.  Generators are folded in one at a time; per +g cycle, one
+    # relaxing lap starting from the cycle minimum is exact, so the whole
+    # table costs O(m * len(gens)).  Returns (kept generators, entries).
     dist = [inf] * m
     dist[0] = 0
+    kept = []
     for g in gens:
+        # dist is the exact table of <kept, m>; a g it reaches is a sum of
+        # smaller generators (m cannot help a g < m), so g is dropped
+        if g != m and dist[g % m] <= g:
+            continue
+        kept.append(g)
         step = g % m
         if step == 0:
             continue
@@ -162,7 +152,7 @@ def _apery_entries(gens, m):
                     dist[r] = cur
                 else:
                     cur = dist[r]
-    return tuple(int(v) for v in dist)
+    return tuple(kept), tuple(int(v) for v in dist)
 
 
 def apery_set(S: NumericalSemigroup, m: int | None = None) -> AperyTable:
@@ -173,7 +163,7 @@ def apery_set(S: NumericalSemigroup, m: int | None = None) -> AperyTable:
         raise NotAGenerator(f"{m} is not a generator of {S!r}")
     table = S._apery_cache.get(m)
     if table is None:
-        table = AperyTable(m, _apery_entries(S.generators, m))
+        table = AperyTable(m, _apery_entries(S.generators, m)[1])
         S._apery_cache[m] = table
     return table
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import ApSemigroup, ap_contains, ap_frobenius
-from .core import FullSemigroup, NegativeInput, apery_set, contains
+from .core import NegativeInput, apery_set, contains, frobenius
 
 
 def isqrt(n: int) -> int:
@@ -86,11 +86,9 @@ def power_frobenius_oracle(S, k: int) -> PowerFrobResult:
                 return PowerFrobResult(k, m, v, "oracle", witness={"x": x, "y": y})
             m -= 1
     else:
-        if S.is_full:
-            raise FullSemigroup("every perfect power is in N")
+        m = kth_root_floor(frobenius(S), k)
         table = apery_set(S)
         entries, mod = table.entries, table.modulus
-        m = kth_root_floor(max(entries) - mod, k)
         while m > 0:
             v = m * m if k == 2 else m ** k
             least = entries[v % mod]

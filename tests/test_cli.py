@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sqfrob import cli
+from sqfrob import arith, cli, core
 
 
 def run_cli(capsys, *argv):
@@ -63,11 +63,29 @@ def test_power_frob_closed_rejects_bad_shapes(capsys):
 
 
 def test_power_frob_closed_matches_oracle(capsys):
-    for gens in ("9,10", "11,13", "7,10", "9,13", "11,16", "23,24"):
+    for gens in ("9,10", "11,13", "7,10", "9,13", "11,16", "23,24", "3,6,8", "4,8,9"):
         _, closed, _ = run_cli(capsys, "power-frob", "--gens", gens, "--k", "2",
                                "--method", "closed")
         _, oracle, _ = run_cli(capsys, "power-frob", "--gens", gens, "--k", "2")
         assert json.loads(closed)["value"] == json.loads(oracle)["value"], gens
+
+
+def test_power_frob_closed_builds_no_apery_table(capsys, monkeypatch):
+    # an Apery table at multiplicity ~10**9 would take about 8 GB
+    def refuse(gens, m):
+        raise AssertionError(f"Apery table of size {m} built")
+
+    monkeypatch.setattr(core, "_apery_entries", refuse)
+    code, out, _ = run_cli(capsys, "power-frob", "--gens", "1000000007,1000000009",
+                           "--k", "2", "--method", "closed")
+    assert code == 0
+    assert out == ('{"k":2,"root":999968386,"value":999936772999444996,'
+                   '"method":"closed_form"}\n')
+    code, out, err = run_cli(capsys, "power-frob", "--gens",
+                             "1000000007,1000000009,3000000000", "--k", "2",
+                             "--method", "closed")
+    assert code == 2 and out == ""
+    assert "closed forms cover <a, a+d>" in err
 
 
 def test_power_min(capsys):
@@ -87,6 +105,21 @@ def test_bound_with_profile(capsys):
     assert obj["profile"]["lambdas"] == [0, 3, 2, 2, 3]
     assert obj["profile"]["alphas"] == [1, 4]
     assert (obj["profile"]["mu"], obj["profile"]["j"]) == (1, 1)
+
+
+def test_bound_dump_profile_computes_profile_once(capsys, monkeypatch):
+    calls = []
+    real = arith.lambda_profile
+
+    def counted(a, d):
+        calls.append((a, d))
+        return real(a, d)
+
+    monkeypatch.setattr(arith, "lambda_profile", counted)
+    code, _, _ = run_cli(capsys, "bound", "--a", "13", "--d", "5", "--k", "1",
+                         "--dump-profile")
+    assert code == 0
+    assert calls == [(13, 5)]
 
 
 def test_bound_small_d_is_invalid_input(capsys):

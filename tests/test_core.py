@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import naive
 import sqfrob as sq
+from sqfrob import core
 
 
 @pytest.mark.parametrize("raw,expected", [
@@ -54,6 +55,27 @@ def test_apery_examples():
         sq.apery_set(S, 5)
     with pytest.raises(sq.NotAGenerator):
         sq.apery_set(sq.make_semigroup([3, 6, 7]), 6)  # 6 is redundant, dropped
+
+
+def test_far_redundant_generator_is_dropped_quickly():
+    # 10**7 is reached by the multiplicity-2 table; no table of size 10**7
+    assert sq.NumericalSemigroup([2, 3, 10**7]).generators == (2, 3)
+
+
+def test_one_apery_build_serves_construction_and_queries(monkeypatch):
+    calls = []
+    real = core._apery_entries
+
+    def counted(gens, m):
+        calls.append(m)
+        return real(gens, m)
+
+    monkeypatch.setattr(core, "_apery_entries", counted)
+    S = sq.NumericalSemigroup([9, 7, 11, 14])
+    assert sq.apery_set(S).modulus == 7
+    assert sq.frobenius(S) == naive.frobenius([7, 9, 11])
+    assert sq.contains(S, 16) and not sq.contains(S, 10)
+    assert calls == [7]
 
 
 SAMPLE_GENS = [
@@ -165,3 +187,11 @@ def test_minimal_generators_are_minimal(gens):
             continue
         # dropping g must change the semigroup: g is not a combination of the rest
         assert not naive.reachable(others, g)[g], (gens, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen_lists())
+def test_minimal_generators_generate_every_input(gens):
+    kept = sq.make_semigroup(gens).generators
+    reach = naive.reachable(kept, max(gens))
+    assert all(reach[g] for g in gens), (gens, kept)
