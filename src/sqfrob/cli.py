@@ -4,7 +4,7 @@ Subcommands mirror the library: frobenius, member, power-frob, power-min,
 bound, exceptions, tables, verify.  Output goes to stdout in the format
 selected by --format (json by default, compact and deterministic);
 diagnostics go to stderr.  Exit codes: 0 success, 1 a verification found
-mismatches, 2 invalid input.
+mismatches, 2 invalid input or an input too large for available memory.
 """
 
 from __future__ import annotations
@@ -235,6 +235,10 @@ def main(argv=None) -> int:
         return run(sys.argv[1:] if argv is None else argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large for available memory; an Apery table takes one "
+              "entry per unit of the multiplicity (the least generator)", file=sys.stderr)
         return 2
 
 

@@ -2,8 +2,9 @@
 
 Every sweep compares a closed form or bound against the brute-force oracle
 and reports mismatches; an empty mismatch list means the sweep passed.
-Sweeps can fan out over processes; results are merged in input order, so the
-output is identical for any worker count.
+Each sweep cuts its work into fixed chunks and runs them through at most one
+process pool; results are merged in input order, so the output is identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -33,29 +34,18 @@ def resolve_jobs(jobs=None) -> int:
     return max(1, int(jobs))
 
 
-def _chunk_spans(lo, hi, size=DEFAULT_CHUNK):
-    spans = []
-    while lo <= hi:
-        spans.append((lo, min(lo + size - 1, hi)))
-        lo += size
-    return spans
+def _chunks(items, size):
+    # A chunk of a range is a range, so first terms travel as three ints.
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _slices(seq, size):
-    if not seq:
-        return [tuple(seq)]
-    return [tuple(seq[i:i + size]) for i in range(0, len(seq), size)]
-
-
-def _starmap(fn, argsets, jobs):
-    if jobs <= 1 or len(argsets) <= 1:
+def _run(fn, argsets, jobs):
+    """[fn(*args) for args in argsets], over a Pool of at most one worker per CPU."""
+    jobs = min(resolve_jobs(jobs), len(argsets), os.cpu_count() or 1)
+    if jobs <= 1:
         return [fn(*args) for args in argsets]
-    with Pool(processes=min(jobs, len(argsets))) as pool:
+    with Pool(processes=jobs) as pool:
         return pool.starmap(fn, argsets)
-
-
-def _coprime_count(lo, hi, d):
-    return sum(1 for a in range(lo, hi + 1) if gcd(a, d) == 1)
 
 
 @dataclass(frozen=True)
@@ -123,6 +113,15 @@ class SweepReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
+    @classmethod
+    def from_parts(cls, scope, span, parts, t0, mismatches=None, extra=None):
+        """Merge chunk results (checked, mismatches, ...) in input order."""
+        if mismatches is None:
+            mismatches = [m for p in parts for m in p[1]]
+        return cls(scope=scope, span=span, checked=sum(p[0] for p in parts),
+                   mismatches=mismatches, wall_time=time.perf_counter() - t0,
+                   extra=extra or {})
+
     def to_text(self) -> str:
         lines = [
             f"scope:    {self.scope}",
@@ -138,52 +137,48 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _equality_chunk(d, lo, hi):
+def _equality_chunk(d, firsts):
+    checked = 0
     out = []
-    for a in range(lo, hi + 1):
+    for a in firsts:
         if gcd(a, d) != 1:
             continue
         s = ApSemigroup(a, d, 1)
         got = power_frobenius_oracle(s, 2).value
         bb = bound_B(s)
+        checked += 1
         if got != bb:
-            out.append((a, got, bb))
-    return out
+            out.append({"a": a, "oracle": got, "bound": bb})
+    return checked, out
 
 
-def scan_bound_equality(d, lo, hi, jobs=1):
-    """All (a, oracle, bound) with oracle != bound for coprime a in [lo, hi]."""
-    argsets = [(d, c0, c1) for c0, c1 in _chunk_spans(lo, hi)]
-    return [rec for chunk in _starmap(_equality_chunk, argsets, jobs) for rec in chunk]
+def _equality_argsets(d, lo, hi):
+    return [(d, firsts) for firsts in _chunks(range(lo, hi + 1), DEFAULT_CHUNK)]
 
 
 def exception_set(d: int, jobs=None) -> ExceptionReport:
     """Exceptional a in [2, 4d^3 - 1]; outside that range oracle == bound."""
     if d < 3:
         raise DTooSmall(f"exception sets are defined for d >= 3, got {d}")
-    jobs = resolve_jobs(jobs)
     hi = 4 * d ** 3 - 1
-    recs = scan_bound_equality(d, 2, hi, jobs)
-    return ExceptionReport(d=d, scan_range=(2, hi),
-                           members=tuple(ExceptionRecord(*r) for r in recs))
+    parts = _run(_equality_chunk, _equality_argsets(d, 2, hi), jobs)
+    return ExceptionReport(d=d, scan_range=(2, hi), members=tuple(
+        ExceptionRecord(m["a"], m["oracle"], m["bound"]) for p in parts for m in p[1]))
 
 
 def compare_table1(jobs=None) -> SweepReport:
     """Recompute every golden exception set and diff against the stored table."""
-    jobs = resolve_jobs(jobs)
     golden = load_table1()
     t0 = time.perf_counter()
-    checked = 0
-    mismatches = []
-    for d in sorted(golden):
-        rep = exception_set(d, jobs=jobs)
-        checked += _coprime_count(2, rep.scan_range[1], d)
-        got = rep.member_values()
-        if got != golden[d]:
-            mismatches.append({"d": d, "expected": golden[d], "got": got})
-    return SweepReport(scope="exception sets vs golden table",
-                       span=f"d={min(golden)}..{max(golden)}", checked=checked,
-                       mismatches=mismatches, wall_time=time.perf_counter() - t0)
+    argsets = [args for d in sorted(golden) for args in _equality_argsets(d, 2, 4 * d ** 3 - 1)]
+    parts = _run(_equality_chunk, argsets, jobs)
+    got = {d: [] for d in golden}
+    for (d, _), (_, found) in zip(argsets, parts):
+        got[d] += [m["a"] for m in found]
+    return SweepReport.from_parts(
+        "exception sets vs golden table", f"d={min(golden)}..{max(golden)}", parts, t0,
+        mismatches=[{"d": d, "expected": golden[d], "got": got[d]}
+                    for d in sorted(golden) if got[d] != golden[d]])
 
 
 def reproduce_table2() -> SweepReport:
@@ -206,20 +201,16 @@ def reproduce_table2() -> SweepReport:
 
 def verify_bound_equality(d, a_lo, a_hi, jobs=None) -> SweepReport:
     """Check oracle == bound_B exactly (k = 1) for coprime a in [a_lo, a_hi]."""
-    jobs = resolve_jobs(jobs)
     t0 = time.perf_counter()
-    recs = scan_bound_equality(d, a_lo, a_hi, jobs)
-    return SweepReport(scope=f"bound equality, d={d}", span=(a_lo, a_hi),
-                       checked=_coprime_count(a_lo, a_hi, d),
-                       mismatches=[{"a": a, "oracle": o, "bound": b} for a, o, b in recs],
-                       wall_time=time.perf_counter() - t0)
+    parts = _run(_equality_chunk, _equality_argsets(d, a_lo, a_hi), jobs)
+    return SweepReport.from_parts(f"bound equality, d={d}", (a_lo, a_hi), parts, t0)
 
 
-def _bound_upper_chunk(d, k, lo, hi):
+def _bound_upper_chunk(d, k, firsts):
     strong_checked = weak_checked = 0
     strong_viol, weak_viol = [], []
     strong_floor = 4 * k * d ** 3 - k * d
-    for a in range(lo, hi + 1):
+    for a in firsts:
         if gcd(a, d) != 1:
             continue
         prof = lambda_profile(a, d)
@@ -239,7 +230,7 @@ def _bound_upper_chunk(d, k, lo, hi):
             weak_checked += 1
             if not ok:
                 weak_viol.append({"a": a, "oracle": got, "bound": bb})
-    return strong_checked, weak_checked, strong_viol, weak_viol
+    return strong_checked, strong_viol, weak_checked, weak_viol
 
 
 def verify_theorem_bound(d, k, a_lo, a_hi, jobs=None) -> SweepReport:
@@ -251,16 +242,12 @@ def verify_theorem_bound(d, k, a_lo, a_hi, jobs=None) -> SweepReport:
     """
     if d < 3:
         raise DTooSmall(f"the square bound needs d >= 3, got {d}")
-    jobs = resolve_jobs(jobs)
     t0 = time.perf_counter()
-    argsets = [(d, k, c0, c1) for c0, c1 in _chunk_spans(a_lo, a_hi)]
-    parts = _starmap(_bound_upper_chunk, argsets, jobs)
-    return SweepReport(
-        scope=f"square bound, d={d} k={k}", span=(a_lo, a_hi),
-        checked=sum(p[0] for p in parts),
-        mismatches=[m for p in parts for m in p[2]],
-        wall_time=time.perf_counter() - t0,
-        extra={"weak_hypothesis_checked": sum(p[1] for p in parts),
+    argsets = [(d, k, firsts) for firsts in _chunks(range(a_lo, a_hi + 1), DEFAULT_CHUNK)]
+    parts = _run(_bound_upper_chunk, argsets, jobs)
+    return SweepReport.from_parts(
+        f"square bound, d={d} k={k}", (a_lo, a_hi), parts, t0,
+        extra={"weak_hypothesis_checked": sum(p[2] for p in parts),
                "weak_hypothesis_violations": [m for p in parts for m in p[3]]})
 
 
@@ -294,27 +281,25 @@ def _conjecture_chunk(which, targets):
         if predicted.value != truth.value:
             out.append({"a": a, "predicted": predicted.value,
                         "branch": predicted.branch, "oracle": truth.value})
-    return out
+    return len(targets), out
 
 
 def verify_conjectures(which, max_a, jobs=None) -> SweepReport:
     """Conjectured d=1 / d=2 branch values vs the oracle, for every square or
     square-adjacent first term up to max_a."""
-    jobs = resolve_jobs(jobs)
     targets = _conjecture_targets(which, max_a)
     t0 = time.perf_counter()
-    argsets = [(which, sl) for sl in _slices(targets, 64)]
-    parts = _starmap(_conjecture_chunk, argsets, jobs)
-    return SweepReport(scope=f"square-frobenius conjecture, d={which}",
-                       span=(2 if which == 1 else 3, max_a), checked=len(targets),
-                       mismatches=[m for p in parts for m in p],
-                       wall_time=time.perf_counter() - t0)
+    parts = _run(_conjecture_chunk, [(which, c) for c in _chunks(targets, 64)], jobs)
+    return SweepReport.from_parts(f"square-frobenius conjecture, d={which}",
+                                  (2 if which == 1 else 3, max_a), parts, t0)
 
 
-def _min_power_chunk(a_lo, a_hi, k_lo, k_hi):
+def _min_power_chunk(k_lo, k_hi, firsts):
     checked = 0
     viol = []
-    for a in range(max(2, a_lo), a_hi + 1):
+    for a in firsts:
+        if a < 2:
+            continue
         for k in range(k_lo, k_hi + 1):
             for d in range(1, a * k // (2 * k + 1) + 1):
                 if gcd(a, d) != 1:
@@ -328,11 +313,8 @@ def _min_power_chunk(a_lo, a_hi, k_lo, k_hi):
 
 def verify_min_power_theorem(a_lo, a_hi, k_lo=1, k_hi=4, jobs=None) -> SweepReport:
     """Smallest square in <a, ..., a+kd> is at most (a-d)^2 when d <= ak/(2k+1)."""
-    jobs = resolve_jobs(jobs)
     t0 = time.perf_counter()
-    argsets = [(c0, c1, k_lo, k_hi) for c0, c1 in _chunk_spans(a_lo, a_hi, size=32)]
-    parts = _starmap(_min_power_chunk, argsets, jobs)
-    return SweepReport(scope=f"smallest square vs (a-d)^2, k={k_lo}..{k_hi}",
-                       span=(a_lo, a_hi), checked=sum(p[0] for p in parts),
-                       mismatches=[m for p in parts for m in p[1]],
-                       wall_time=time.perf_counter() - t0)
+    argsets = [(k_lo, k_hi, firsts) for firsts in _chunks(range(a_lo, a_hi + 1), 32)]
+    parts = _run(_min_power_chunk, argsets, jobs)
+    return SweepReport.from_parts(f"smallest square vs (a-d)^2, k={k_lo}..{k_hi}",
+                                  (a_lo, a_hi), parts, t0)

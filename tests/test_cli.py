@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -213,3 +216,22 @@ def test_zero_generator_is_invalid_input(capsys):
 def test_full_semigroup_power_frob_is_invalid_input(capsys):
     code, _, err = run_cli(capsys, "power-frob", "--gens", "1", "--k", "2")
     assert code == 2 and "error:" in err
+
+
+def test_out_of_memory_is_exit_2():
+    # The table for multiplicity ~10**9 asks for about 8 GB, so the child runs
+    # under a 2 GB address-space limit set in that child only.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqfrob.cli", "frobenius", "--gens", "1000000007,1000000009"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "multiplicity" in lines[0]

@@ -90,6 +90,54 @@ def test_parallel_runs_serialize_identically():
             == sq.exception_set(5, jobs=3).to_json())
     assert (sq.verify_conjectures(1, 20000, jobs=1).to_json()
             == sq.verify_conjectures(1, 20000, jobs=4).to_json())
+    # every input below has at least 3 chunks, so jobs=2 takes the pool path
+    for sweep, args in ((sq.compare_table1, ()),
+                        (sq.verify_bound_equality, (3, 105, 9000)),
+                        (sq.verify_theorem_bound, (3, 1, 2, 9000)),
+                        (sq.verify_min_power_theorem, (2, 80))):
+        assert sweep(*args, jobs=1).to_json() == sweep(*args, jobs=2).to_json(), sweep
+
+
+def test_compare_table1_counts_and_starts_one_pool(monkeypatch):
+    real_pool = sq.verify.Pool
+    started = []
+
+    def counting_pool(*args, **kwargs):
+        started.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(sq.verify, "Pool", counting_pool)
+    monkeypatch.setattr(sq.verify.os, "cpu_count", lambda: 2)
+    rep = sq.compare_table1(jobs=2)
+    assert rep.passed
+    assert rep.checked == 13766  # coprime a in [2, 4d^3 - 1] summed over d = 3..12
+    assert started == [{"processes": 2}]
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, argsets):
+            return [fn(*args) for args in argsets]
+
+    serial = sq.verify_conjectures(1, 100000, jobs=1).to_json()
+    monkeypatch.setattr(sq.verify, "Pool", SerialPool)
+    monkeypatch.setattr(sq.verify.os, "cpu_count", lambda: 2)
+    assert sq.verify_conjectures(1, 100000, jobs=500).to_json() == serial
+    assert started == [2]
+    monkeypatch.setattr(sq.verify.os, "cpu_count", lambda: None)
+    assert sq.verify_conjectures(1, 100000, jobs=500).to_json() == serial
+    assert started == [2]
 
 
 def test_jobs_env_fallback(monkeypatch):
