@@ -99,16 +99,16 @@ def _cmd_member(args):
 def _closed_form_result(gens, k):
     # Decides <gens> = <a, a+d> without an Apery table: a is the least
     # generator, a+d the least one a does not divide, and every generator
-    # must be in <a, a+d>.
+    # must be in <a, a+d>.  square_frobenius_closed owns the covered d.
     gens = _checked_generators(gens)
     if k != 2:
         raise SemigroupError("closed forms cover squares only (need --k 2)")
     a = gens[0]
     b = next((g for g in gens if g % a), None)
-    if (b is None or not 1 <= b - a <= 5 or gcd(a, b) != 1
+    if (b is None or gcd(a, b) != 1
             or not all(ap_contains(ApSemigroup(a, b - a, 1), g) for g in gens)):
         raise SemigroupError(
-            f"closed forms cover <a, a+d> with d in 1..5; got generators {gens}")
+            f"closed forms cover <a, a+d> only; got generators {gens}")
     ans = square_frobenius_closed(a, b - a)
     return PowerFrobResult(k=2, root=ans.root, value=ans.value, method="closed_form")
 

@@ -63,13 +63,13 @@ class NumericalSemigroup:
     finds the minimal generators: O(m * len(generators)) time, O(m) memory.
     """
 
-    __slots__ = ("_gens", "_apery_cache")
+    __slots__ = ("_gens", "_apery")
 
     def __init__(self, generators):
         gens = _checked_generators(generators)
         m = gens[0]
         self._gens, entries = _apery_entries(gens, m)
-        self._apery_cache = {m: AperyTable(m, entries)}
+        self._apery = AperyTable(m, entries)
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -156,16 +156,16 @@ def _apery_entries(gens, m):
 
 
 def apery_set(S: NumericalSemigroup, m: int | None = None) -> AperyTable:
-    """Apery table of S with respect to the generator m (default: multiplicity)."""
-    if m is None:
-        m = S.multiplicity
+    """Apery table of S with respect to the generator m (default: multiplicity).
+
+    The multiplicity's table is the one built at construction; a table for
+    any other generator is computed afresh on each call and not kept.
+    """
+    if m is None or m == S.multiplicity:
+        return S._apery
     if m not in S.generators:
         raise NotAGenerator(f"{m} is not a generator of {S!r}")
-    table = S._apery_cache.get(m)
-    if table is None:
-        table = AperyTable(m, _apery_entries(S.generators, m)[1])
-        S._apery_cache[m] = table
-    return table
+    return AperyTable(m, _apery_entries(S.generators, m)[1])
 
 
 def contains(S: NumericalSemigroup, value: int) -> bool:

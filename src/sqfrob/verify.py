@@ -21,6 +21,7 @@ from .closedform import load_table1, load_table2, sq_frob_d1, sq_frob_d2
 from .power import power_frobenius_oracle, power_min_oracle
 
 DEFAULT_CHUNK = 4096
+MAX_CHUNKS = 4096
 
 
 def resolve_jobs(jobs=None) -> int:
@@ -36,6 +37,9 @@ def resolve_jobs(jobs=None) -> int:
 
 def _chunks(items, size):
     # A chunk of a range is a range, so first terms travel as three ints.
+    # Chunks grow past size so that a huge sweep never holds more than
+    # MAX_CHUNKS of them.
+    size = max(size, -(-len(items) // MAX_CHUNKS))
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 

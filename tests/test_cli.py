@@ -62,7 +62,7 @@ def test_power_frob_closed_rejects_bad_shapes(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "power-frob", "--gens", "3,10", "--k", "2",
                            "--method", "closed")
-    assert code == 2 and "error:" in err
+    assert code == 2 and "error:" in err and "d = 7" in err
 
 
 def test_power_frob_closed_matches_oracle(capsys):

@@ -98,18 +98,18 @@ def test_sq_frob_d2_examples():
         sq.sq_frob_d2(1)
 
 
-@pytest.mark.parametrize("a,branch", [
-    (7, "nonsquare"), (4, "square-sqrt3"), (9, "square-sqrt2"),
-    (8, "adjacent-u3"), (15, "adjacent-sqrt2"), (24, "adjacent-sqrt3"),
-])
+D1_BRANCHES = [(7, "nonsquare"), (4, "square-sqrt3"), (9, "square-sqrt2"),
+               (8, "adjacent-u3"), (15, "adjacent-sqrt2"), (24, "adjacent-sqrt3")]
+D2_BRANCHES = [(13, "nonsquare"), (49, "square-u5"), (9, "square-sqrt2"),
+               (1681, "square-sqrt3"), (7, "adjacent-sqrt3"), (23, "adjacent-sqrt2")]
+
+
+@pytest.mark.parametrize("a,branch", D1_BRANCHES)
 def test_d1_branches(a, branch):
     assert sq.sq_frob_d1(a).branch == branch
 
 
-@pytest.mark.parametrize("a,branch", [
-    (13, "nonsquare"), (49, "square-u5"), (9, "square-sqrt2"),
-    (1681, "square-sqrt3"), (7, "adjacent-sqrt3"), (23, "adjacent-sqrt2"),
-])
+@pytest.mark.parametrize("a,branch", D2_BRANCHES)
 def test_d2_branches(a, branch):
     assert sq.sq_frob_d2(a).branch == branch
 
@@ -154,15 +154,22 @@ def test_d1_d2_match_oracle_including_nonsquare_branch():
         assert sq.sq_frob_d2(a).value == oracle(a, 2), a
 
 
-def test_use_oracle_flag():
-    ans = sq.sq_frob_d1(16, use_oracle=True)
-    assert ans.branch == "oracle"
-    assert ans.value == sq.sq_frob_d1(16).value
-    ans = sq.sq_frob_d2(25, use_oracle=True)
-    assert ans.branch == "oracle"
-    assert ans.value == sq.sq_frob_d2(25).value
-    # flag is a no-op off the conjectured branches
-    assert sq.sq_frob_d1(7, use_oracle=True).branch == "nonsquare"
+def test_closed_forms_never_call_the_oracle(monkeypatch):
+    cases = ([(a, 1) for a, _ in D1_BRANCHES] + [(a, 2) for a, _ in D2_BRANCHES]
+             + [(a, d) for d, a, _, _ in sq.load_table2() if d <= 5]
+             + [(10**12 + 1, d) for d in range(1, 6)])
+    truth = {(a, d): oracle(a, d) for a, d in cases}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed form called the oracle")
+
+    monkeypatch.setattr(sq.closedform, "power_frobenius_oracle", refuse)
+    monkeypatch.setattr(sq.power, "power_frobenius_oracle", refuse)
+    for (a, d), value in truth.items():
+        assert sq.square_frobenius_closed(a, d).value == value, (a, d)
+    for fn in (sq.sq_frob_d1, sq.sq_frob_d2, sq.square_frobenius_closed):
+        with pytest.raises(TypeError):
+            fn(9, use_oracle=True)
 
 
 def test_dispatcher():

@@ -75,6 +75,7 @@ def test_one_apery_build_serves_construction_and_queries(monkeypatch):
     assert sq.apery_set(S).modulus == 7
     assert sq.frobenius(S) == naive.frobenius([7, 9, 11])
     assert sq.contains(S, 16) and not sq.contains(S, 10)
+    assert sq.apery_set(S, 7) is sq.apery_set(S)
     assert calls == [7]
 
 

@@ -1,5 +1,7 @@
 import json
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,31 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(sq.verify.os, "cpu_count", lambda: None)
     assert sq.verify_conjectures(1, 100000, jobs=500).to_json() == serial
     assert started == [2]
+
+
+def test_chunks_are_capped_and_cover_the_range():
+    items = range(2, 10**9 + 1)
+    chunks = sq.verify._chunks(items, 4096)
+    assert len(chunks) <= sq.verify.MAX_CHUNKS
+    assert chunks[0].start == items.start and chunks[-1].stop == items.stop
+    assert all(x.stop == y.start for x, y in zip(chunks, chunks[1:]))
+    assert sum(len(c) for c in chunks) == len(items)
+    # below the cap, boundaries are the fixed 4096-term ones
+    assert [len(c) for c in sq.verify._chunks(range(2, 4 * 16**3), 4096)] == [
+        4096, 4096, 4096, 4094]
+
+
+def test_perfbench_patch_names_are_bound():
+    # A traced benchmark run swaps each of these names by getattr/setattr;
+    # one that is no longer bound fails every such run with AttributeError.
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import tracing
+    finally:
+        sys.path.remove(bench)
+    for module, attr, _ in tracing.PATCHES:
+        assert hasattr(module, attr), (module.__name__, attr)
 
 
 def test_jobs_env_fallback(monkeypatch):
