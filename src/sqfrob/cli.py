@@ -238,7 +238,8 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("error: input too large for available memory; an Apery table takes one "
-              "entry per unit of the multiplicity (the least generator)", file=sys.stderr)
+              "entry per unit of the multiplicity (the least generator), a lambda "
+              "profile one per unit of d", file=sys.stderr)
         return 2
 
 

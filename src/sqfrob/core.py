@@ -195,5 +195,8 @@ def gaps(S: NumericalSemigroup) -> list[int]:
 
 
 def genus(S: NumericalSemigroup) -> int:
-    """Number of gaps."""
-    return len(gaps(S))
+    """Number of gaps, by Selmer's formula sum(w)/m - (m-1)/2 over the Apery
+    entries w of the multiplicity m: O(m), no gap is listed."""
+    t = apery_set(S)
+    m = t.modulus
+    return (sum(t.entries) - m * (m - 1) // 2) // m

@@ -13,7 +13,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 from multiprocessing import Pool
 
 from .arith import ApSemigroup, DTooSmall, bound_B, lambda_profile
@@ -35,12 +35,14 @@ def resolve_jobs(jobs=None) -> int:
     return max(1, int(jobs))
 
 
-def _chunks(items, size):
-    # A chunk of a range is a range, so first terms travel as three ints.
-    # Chunks grow past size so that a huge sweep never holds more than
-    # MAX_CHUNKS of them.
-    size = max(size, -(-len(items) // MAX_CHUNKS))
-    return [items[i:i + size] for i in range(0, len(items), size)]
+def _chunks(work, size):
+    # A chunk of a range is a range, so work travels as three ints.  Chunks
+    # grow past size so that a huge sweep never holds more than MAX_CHUNKS of
+    # them.  The length is computed with Python ints, because a range's
+    # built-in length overflows at 2^63 terms.
+    n = (work[-1] - work[0]) // work.step + 1 if work else 0
+    size = max(size, -(-n // MAX_CHUNKS))
+    return [work[i:i + size] for i in range(0, n, size)]
 
 
 def _run(fn, argsets, jobs):
@@ -255,47 +257,36 @@ def verify_theorem_bound(d, k, a_lo, a_hi, jobs=None) -> SweepReport:
                "weak_hypothesis_violations": [m for p in parts for m in p[3]]})
 
 
-def _conjecture_targets(which, max_a):
-    targets = set()
-    if which == 1:
-        b = 2
-        while b * b <= max_a + 1:
-            for a in (b * b - 1, b * b):
-                if 2 <= a <= max_a:
-                    targets.add(a)
-            b += 1
-    elif which == 2:
-        c = 3
-        while c * c <= max_a + 2:
-            for a in (c * c - 2, c * c):
-                if 3 <= a <= max_a:
-                    targets.add(a)
-            c += 2
-    else:
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    return sorted(targets)
-
-
-def _conjecture_chunk(which, targets):
-    fn, d = (sq_frob_d1, 1) if which == 1 else (sq_frob_d2, 2)
+def _conjecture_chunk(which, max_a, roots):
+    # d=1 targets are b^2-1 and b^2, d=2 targets c^2-2 and c^2: ascending,
+    # distinct, and past max_a only at the last root
+    fn = sq_frob_d1 if which == 1 else sq_frob_d2
+    checked = 0
     out = []
-    for a in targets:
-        predicted = fn(a)
-        truth = power_frobenius_oracle(ApSemigroup(a, d, 1), 2)
-        if predicted.value != truth.value:
-            out.append({"a": a, "predicted": predicted.value,
-                        "branch": predicted.branch, "oracle": truth.value})
-    return len(targets), out
+    for r in roots:
+        for a in (r * r - which, r * r):
+            if a > max_a:
+                break
+            predicted = fn(a)
+            truth = power_frobenius_oracle(ApSemigroup(a, which, 1), 2)
+            checked += 1
+            if predicted.value != truth.value:
+                out.append({"a": a, "predicted": predicted.value,
+                            "branch": predicted.branch, "oracle": truth.value})
+    return checked, out
 
 
 def verify_conjectures(which, max_a, jobs=None) -> SweepReport:
     """Conjectured d=1 / d=2 branch values vs the oracle, for every square or
     square-adjacent first term up to max_a."""
-    targets = _conjecture_targets(which, max_a)
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which}")
     t0 = time.perf_counter()
-    parts = _run(_conjecture_chunk, [(which, c) for c in _chunks(targets, 64)], jobs)
+    # roots b >= 2 for d=1, odd c >= 3 for d=2; 32 roots are 64 targets
+    roots = range(which + 1, isqrt(max(max_a + which, 0)) + 1, which)
+    parts = _run(_conjecture_chunk, [(which, max_a, c) for c in _chunks(roots, 32)], jobs)
     return SweepReport.from_parts(f"square-frobenius conjecture, d={which}",
-                                  (2 if which == 1 else 3, max_a), parts, t0)
+                                  (which + 1, max_a), parts, t0)
 
 
 def _min_power_chunk(k_lo, k_hi, firsts):

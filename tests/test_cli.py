@@ -235,3 +235,15 @@ def test_out_of_memory_is_exit_2():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "multiplicity" in lines[0]
+
+
+def test_out_of_memory_in_lambda_profile_names_d(capsys, monkeypatch):
+    def exhausted(a, d):
+        raise MemoryError
+
+    monkeypatch.setattr(arith, "lambda_profile", exhausted)
+    code, out, err = run_cli(capsys, "bound", "--a", "3", "--d", "7", "--k", "1")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "lambda profile" in lines[0] and "unit of d" in lines[0]

@@ -131,6 +131,15 @@ def test_gaps_and_genus():
     assert sq.genus(sq.make_semigroup([1])) == 0
 
 
+def test_genus_lists_no_gap(monkeypatch):
+    def refuse(S):
+        raise AssertionError("genus listed the gaps")
+
+    monkeypatch.setattr(core, "gaps", refuse)
+    # Sylvester: <p, q> has (p-1)(q-1)/2 gaps, here about 5*10^11 of them
+    assert sq.genus(sq.make_semigroup([1000, 10**9 + 1])) == 999 * 10**9 // 2
+
+
 def test_two_generator_closed_form_exhaustive():
     # F(<p, q>) = pq - p - q for coprime p < q
     for p in range(2, 61):
@@ -196,3 +205,11 @@ def test_minimal_generators_generate_every_input(gens):
     kept = sq.make_semigroup(gens).generators
     reach = naive.reachable(kept, max(gens))
     assert all(reach[g] for g in gens), (gens, kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen_lists())
+def test_genus_matches_gap_count(gens):
+    S = sq.make_semigroup(gens)
+    reach = naive.reachable(gens, naive.frobenius(gens))
+    assert sq.genus(S) == len(sq.gaps(S)) == reach[1:].count(0), gens

@@ -152,6 +152,60 @@ def test_chunks_are_capped_and_cover_the_range():
     # below the cap, boundaries are the fixed 4096-term ones
     assert [len(c) for c in sq.verify._chunks(range(2, 4 * 16**3), 4096)] == [
         4096, 4096, 4096, 4094]
+    # past 2^63 terms, where len() raises OverflowError
+    items = range(2, 10**20 + 1)
+    chunks = sq.verify._chunks(items, 4096)
+    assert len(chunks) <= sq.verify.MAX_CHUNKS
+    assert chunks[0].start == items.start and chunks[-1].stop == items.stop
+    assert all(x.stop == y.start for x, y in zip(chunks, chunks[1:]))
+    assert sum((c[-1] - c[0]) // c.step + 1 for c in chunks) == 10**20 - 1
+    # a step-2 range keeps its step in every chunk
+    items = range(3, 10**6, 2)
+    chunks = sq.verify._chunks(items, 32)
+    assert all(c.step == 2 for c in chunks)
+    assert [a for c in chunks for a in c] == list(items)
+
+
+def test_conjecture_sweeps_check_every_target():
+    squares = {b * b for b in range(2, 20)}
+    odd_squares = {c * c for c in range(3, 20, 2)}
+    for max_a in range(-3, 301):
+        rep = sq.verify_conjectures(1, max_a)
+        assert rep.passed
+        assert rep.checked == sum(1 for a in range(2, max_a + 1)
+                                  if a in squares or a + 1 in squares), max_a
+        rep = sq.verify_conjectures(2, max_a)
+        assert rep.passed
+        assert rep.checked == sum(1 for a in range(1, max_a + 1)
+                                  if a in odd_squares or a + 2 in odd_squares), max_a
+
+
+class _Planned(Exception):
+    pass
+
+
+def test_every_sweep_plans_ranges(monkeypatch):
+    planned = []
+
+    def record(fn, argsets, jobs):
+        planned.append(argsets)
+        raise _Planned
+
+    monkeypatch.setattr(sq.verify, "_run", record)
+    sweeps = ((sq.exception_set, (10**7,)),
+              (sq.compare_table1, ()),
+              (sq.verify_bound_equality, (3, 2, 10**30)),
+              (sq.verify_theorem_bound, (3, 2, 2, 10**30)),
+              (sq.verify_conjectures, (1, 10**10)),
+              (sq.verify_conjectures, (2, 10**10)),
+              (sq.verify_min_power_theorem, (2, 10**25)))
+    for sweep, args in sweeps:
+        planned.clear()
+        with pytest.raises(_Planned):
+            sweep(*args)
+        (argsets,) = planned
+        assert 1 <= len(argsets) <= sq.verify.MAX_CHUNKS, sweep
+        assert all(isinstance(args[-1], range) for args in argsets), sweep
 
 
 def test_perfbench_patch_names_are_bound():
