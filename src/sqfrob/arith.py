@@ -5,13 +5,15 @@ unique decomposition M = a*x + d*y with 0 <= y < a, the closed-form Frobenius
 number, and the machinery behind the square upper bound B(a, d, k): the
 per-residue corrections lambda_i, their maximum lambda_star, the residues
 alpha_1 < ... < alpha_n attaining it, and the grid cell (mu, j) bracketing
-sqrt((k*d - lambda_star) * (a + k*d)).
+sqrt((k*d - lambda_star) * (a + k*d)).  A profile depends on a only through
+a mod d and is cached per residue class.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .core import NegativeInput, NonCoprime, SemigroupError
@@ -84,16 +86,23 @@ def _inverse_mod(a, d):
 class LambdaProfile:
     """Corrections lambda_i in [0, d) with lambda_i * a + i^2 divisible by d.
 
-    lambda_star is max(lambdas); alphas lists the residues attaining it in
-    increasing order, and alpha_next = d + alphas[0] closes the alpha grid
-    cyclically.
+    lambda_i = (-inv * i^2) mod d, where inv is the inverse of a mod d, so a
+    profile depends on a only through a mod d.  Only inv is stored: lambdas
+    is computed from it when read, which keeps a profile's size independent
+    of d.  lambda_star is max(lambdas); alphas lists the residues attaining
+    it in increasing order, and alpha_next = d + alphas[0] closes the alpha
+    grid cyclically.
     """
 
     d: int
-    lambdas: tuple[int, ...]
+    inv: int
     lambda_star: int
     alphas: tuple[int, ...]
     alpha_next: int
+
+    @property
+    def lambdas(self) -> tuple[int, ...]:
+        return tuple((-self.inv * i * i) % self.d for i in range(self.d))
 
     def to_dict(self):
         return {
@@ -109,17 +118,31 @@ class LambdaProfile:
 
 
 def lambda_profile(a: int, d: int) -> LambdaProfile:
-    """Profile of the residue corrections for the pair (a, d)."""
+    """Profile of the residue corrections for the pair (a, d).
+
+    Every a in one residue class mod d shares one cached profile.
+    """
     if d < 1:
         raise SemigroupError(f"d must be >= 1, got {d}")
     if gcd(a, d) != 1:
         raise NonCoprime(f"gcd({a}, {d}) != 1")
-    inv = _inverse_mod(a, d)
-    lambdas = tuple((-inv * i * i) % d for i in range(d))
-    star = max(lambdas)
-    alphas = tuple(i for i, v in enumerate(lambdas) if v == star)
-    return LambdaProfile(d=d, lambdas=lambdas, lambda_star=star,
-                         alphas=alphas, alpha_next=d + alphas[0])
+    return _residue_profile(a % d, d)
+
+
+@lru_cache(maxsize=4096)
+def _residue_profile(r, d):
+    # one streaming pass for the maximum and the residues attaining it;
+    # nothing d-long is kept, so the cache stays small for any d
+    inv = _inverse_mod(r, d)
+    star, alphas = -1, []
+    for i in range(d):
+        lam = (-inv * i * i) % d
+        if lam > star:
+            star, alphas = lam, [i]
+        elif lam == star:
+            alphas.append(i)
+    return LambdaProfile(d=d, inv=inv, lambda_star=star,
+                         alphas=tuple(alphas), alpha_next=d + alphas[0])
 
 
 def square_in_ap(S: ApSemigroup, i: int) -> bool:

@@ -2,8 +2,14 @@
 
 The oracles are deliberately simple scans built on exact integer roots; they
 serve as the ground truth that the closed forms and bounds are checked
-against.  Both accept a NumericalSemigroup or an ApSemigroup (the latter gets
-O(1) membership, which keeps large sweeps cheap).
+against.  Both accept a NumericalSemigroup, scanned against its Apery table,
+or an ApSemigroup, which needs no table.  The largest-power scan over an
+ApSemigroup tests each root with one inequality: with v = a*x + d*y and
+0 <= y < a, v lies outside <a, a+d, ..., a+kd> exactly when
+(a + k*d)*y > k*v.  That test reads only the decomposition, never the lambda
+profile, so the oracle stays independent of the bound it checks.  On either
+route the largest-power oracle records the number of roots it scanned in
+steps, outside the canonical JSON.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ class PowerFrobResult:
 
     method is one of "oracle", "closed_form", "bound".  witness, when
     present, is the data disproving membership of the reported power.
+    steps, when present, is the number of roots the oracle scanned; like the
+    witness it stays out of the canonical JSON.
     """
 
     k: int
@@ -58,6 +66,7 @@ class PowerFrobResult:
     value: int
     method: str
     witness: dict | None = None
+    steps: int | None = None
 
     def to_dict(self):
         return {"k": self.k, "root": self.root, "value": self.value, "method": self.method}
@@ -76,27 +85,38 @@ def power_frobenius_oracle(S, k: int) -> PowerFrobResult:
     if k < 2:
         raise ValueError(f"power must be >= 2, got {k}")
     if isinstance(S, ApSemigroup):
+        # v = a*x + d*y with 0 <= y < a is outside S iff x < 0 or y > kk*x,
+        # which for kk >= 1 is the single test (a + kk*d)*y > kk*v
         a, d, kk, dinv = S.a, S.d, S.k, S._dinv
-        m = kth_root_floor(ap_frobenius(S), k)
-        while m > 0:
-            v = m * m if k == 2 else m ** k
-            y = (v * dinv) % a
-            x = (v - d * y) // a
-            if x < 0 or y > kk * x:
-                return PowerFrobResult(k, m, v, "oracle", witness={"x": x, "y": y})
-            m -= 1
+        c = a + kk * d
+        top = kth_root_floor(ap_frobenius(S), k)
+        if k == 2:
+            for m in range(top, 0, -1):
+                v = m * m
+                if c * (v * dinv % a) > kk * v:
+                    return _ap_hit(S, k, m, v, top)
+        else:
+            for m in range(top, 0, -1):
+                v = m ** k
+                if c * (v * dinv % a) > kk * v:
+                    return _ap_hit(S, k, m, v, top)
     else:
-        m = kth_root_floor(frobenius(S), k)
+        top = kth_root_floor(frobenius(S), k)
         table = apery_set(S)
         entries, mod = table.entries, table.modulus
-        while m > 0:
+        for m in range(top, 0, -1):
             v = m * m if k == 2 else m ** k
-            least = entries[v % mod]
-            if v < least:
-                return PowerFrobResult(k, m, v, "oracle",
-                                       witness={"residue": v % mod, "apery_entry": least})
-            m -= 1
+            if v < entries[v % mod]:
+                witness = {"residue": v % mod, "apery_entry": entries[v % mod]}
+                return PowerFrobResult(k, m, v, "oracle", witness=witness, steps=top - m + 1)
     raise AssertionError("scan fell through: the semigroup contains 1")
+
+
+def _ap_hit(S, k, m, v, top):
+    # the witness is the decomposition of v, rebuilt once the scan has stopped
+    y = v * S._dinv % S.a
+    return PowerFrobResult(k, m, v, "oracle", witness={"x": (v - S.d * y) // S.a, "y": y},
+                           steps=top - m + 1)
 
 
 def power_min_oracle(S, k: int) -> PowerFrobResult:

@@ -1,8 +1,11 @@
+import dataclasses
 from math import gcd, isqrt
 
 import pytest
 
 import sqfrob as sq
+from sqfrob import arith
+from sqfrob.verify import exception_set
 
 
 def coprime_grid(a_max=30, d_max=7, k_max=4):
@@ -89,6 +92,28 @@ def test_lambda_profile_examples():
 
     with pytest.raises(sq.NonCoprime):
         sq.lambda_profile(6, 3)
+
+
+def test_lambda_profile_cached_per_residue():
+    arith._residue_profile.cache_clear()
+    exception_set(7, jobs=1)
+    assert arith._residue_profile.cache_info().misses == 6  # phi(7)
+    for a, d in ((7, 3), (13, 5), (9, 8), (23, 12), (101, 60), (2, 1)):
+        prof = sq.lambda_profile(a, d)
+        assert prof == sq.lambda_profile(a + d, d)
+        assert prof.lambda_star == max(prof.lambdas)
+        assert prof.alphas == tuple(i for i, v in enumerate(prof.lambdas)
+                                    if v == prof.lambda_star)
+
+
+def test_lambda_profile_stores_nothing_d_long():
+    # the cache holds many profiles, so none may keep a d-sized field
+    prof = sq.lambda_profile(3, 10007)
+    for f in dataclasses.fields(prof):
+        value = getattr(prof, f.name)
+        if isinstance(value, (tuple, list)):
+            assert len(value) <= len(prof.alphas), f.name
+    assert len(prof.lambdas) == 10007
 
 
 def test_lambda_profile_defining_property():

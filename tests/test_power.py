@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import naive
@@ -87,6 +87,42 @@ def test_power_frobenius_witness_disproves_membership():
     res = sq.power_frobenius_oracle(sq.make_semigroup([13, 18]), 2)
     assert res.value < res.witness["apery_entry"]
     assert res.value % 13 == res.witness["residue"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 400), st.integers(1, 12), st.integers(1, 3), st.sampled_from([2, 3]))
+@example(2, 3, 1, 2)
+@example(40, 7, 3, 3)
+@example(116, 11, 3, 3)
+def test_ap_oracle_scan_matches_naive(a, d, k, power):
+    # the one-inequality scan against the sieve, and its witness on its own terms
+    assume(gcd(a, d) == 1)
+    S = sq.ApSemigroup(a, d, k)
+    res = sq.power_frobenius_oracle(S, power)
+    assert res.value == naive.power_frob(S.generators, power)
+    x, y = res.witness["x"], res.witness["y"]
+    assert a * x + d * y == res.value
+    assert 0 <= y < a
+    assert y > k * x
+
+
+@pytest.mark.parametrize("a,d,k,power", [(2, 3, 1, 2), (40, 7, 3, 3), (116, 11, 3, 3)])
+def test_ap_oracle_witness_can_have_negative_x(a, d, k, power):
+    # the scan folds x < 0 into y > k*x; these inputs take that case
+    assert sq.power_frobenius_oracle(sq.ApSemigroup(a, d, k), power).witness["x"] < 0
+
+
+@pytest.mark.parametrize("power", [2, 3])
+def test_oracle_steps_stay_out_of_json(power):
+    S = sq.ApSemigroup(13, 5, 1)
+    G = sq.make_semigroup(S.generators)
+    ap, generic = sq.power_frobenius_oracle(S, power), sq.power_frobenius_oracle(G, power)
+    top = sq.kth_root_floor(sq.ap_frobenius(S), power)
+    for res in (ap, generic):
+        assert res.steps == top - res.root + 1
+        assert res.to_dict() == {"k": power, "root": res.root, "value": res.value,
+                                 "method": "oracle"}
+    assert ap.to_json() == generic.to_json()
 
 
 def test_power_min_oracle_examples():
