@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .core import NegativeInput, NonCoprime, SemigroupError
+from .core import CanonicalJson, NegativeInput, NonCoprime, SemigroupError
 
 
 class DTooSmall(SemigroupError):
@@ -24,7 +24,7 @@ class DTooSmall(SemigroupError):
 
 
 @dataclass(frozen=True)
-class ApSemigroup:
+class ApSemigroup(CanonicalJson):
     """<a, a+d, a+2d, ..., a+kd> with a >= 2 and gcd(a, d) = 1."""
 
     a: int
@@ -41,14 +41,14 @@ class ApSemigroup:
         if gcd(self.a, self.d) != 1:
             raise NonCoprime(f"gcd({self.a}, {self.d}) != 1")
         # inverse of d mod a, fixed once: membership queries reuse it
-        object.__setattr__(self, "_dinv", pow(self.d % self.a, -1, self.a))
+        object.__setattr__(self, "_dinv", pow(self.d, -1, self.a))
 
     @property
     def generators(self) -> tuple[int, ...]:
         return tuple(self.a + i * self.d for i in range(self.k + 1))
 
-    def to_json(self) -> str:
-        return json.dumps({"a": self.a, "d": self.d, "k": self.k}, separators=(",", ":"))
+    def to_dict(self):
+        return {"a": self.a, "d": self.d, "k": self.k}
 
     @classmethod
     def from_json(cls, text: str) -> "ApSemigroup":
@@ -77,13 +77,8 @@ def ap_frobenius(S: ApSemigroup) -> int:
     return ((a - 2) // k + 1) * a + (d - 1) * (a - 1) - 1
 
 
-def _inverse_mod(a, d):
-    # gcd(a, d) == 1; for d == 1 the inverse is taken to be 0
-    return 0 if d == 1 else pow(a % d, -1, d)
-
-
 @dataclass(frozen=True)
-class LambdaProfile:
+class LambdaProfile(CanonicalJson):
     """Corrections lambda_i in [0, d) with lambda_i * a + i^2 divisible by d.
 
     lambda_i = (-inv * i^2) mod d, where inv is the inverse of a mod d, so a
@@ -113,9 +108,6 @@ class LambdaProfile:
             "alpha_next": self.alpha_next,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
 
 def lambda_profile(a: int, d: int) -> LambdaProfile:
     """Profile of the residue corrections for the pair (a, d).
@@ -133,7 +125,7 @@ def lambda_profile(a: int, d: int) -> LambdaProfile:
 def _residue_profile(r, d):
     # one streaming pass for the maximum and the residues attaining it;
     # nothing d-long is kept, so the cache stays small for any d
-    inv = _inverse_mod(r, d)
+    inv = pow(r, -1, d)  # 0 when d == 1
     star, alphas = -1, []
     for i in range(d):
         lam = (-inv * i * i) % d
@@ -152,7 +144,7 @@ def square_in_ap(S: ApSemigroup, i: int) -> bool:
     against the least progression element in its residue class mod d.
     """
     a, d, k = S.a, S.d, S.k
-    lam = (-_inverse_mod(a, d) * i * i) % d
+    lam = (-pow(a, -1, d) * i * i) % d
     q = (i * i + lam * a) // (a * d)
     return (i + k * d) ** 2 <= ((q + k) * d - lam) * (a + k * d)
 
@@ -173,13 +165,16 @@ class MuJ:
 
 def mu_j(S: ApSemigroup) -> MuJ:
     """Locate the alpha-grid cell bracketing sqrt((kd - lambda_star)(a + kd))."""
+    return _bound_parts(S)[1]
+
+
+def _bound_parts(S):
+    # (profile, cell, edge) with lambda_profile taken once; the closed forms
+    # read their branch from the same cell
     if S.d < 3:
-        raise DTooSmall(f"alpha bracketing needs d >= 3, got {S.d}")
-    return _mu_j(S, lambda_profile(S.a, S.d))
-
-
-def _mu_j(S, prof):
+        raise DTooSmall(f"the square bound needs d >= 3, got {S.d}")
     d = S.d
+    prof = lambda_profile(S.a, d)
     alphas = prof.alphas
     n = len(alphas)
     target = (S.k * d - prof.lambda_star) * (S.a + S.k * d)
@@ -188,23 +183,13 @@ def _mu_j(S, prof):
     while True:
         g = mu * d + alphas[j - 1]
         if g <= 0 or g * g <= target:
-            return MuJ(mu=mu, j=j, target=target)
+            break
         if j > 1:
             j -= 1
         else:
             mu, j = mu - 1, n
-
-
-def _bound_parts(S):
-    # (profile, cell, edge) with lambda_profile taken once; the closed forms
-    # read their branch from the same cell
-    if S.d < 3:
-        raise DTooSmall(f"the square bound needs d >= 3, got {S.d}")
-    prof = lambda_profile(S.a, S.d)
-    cell = _mu_j(S, prof)
-    n = len(prof.alphas)
-    alpha_next = prof.alphas[cell.j] if cell.j < n else prof.alpha_next
-    return prof, cell, (cell.mu - S.k) * S.d + alpha_next
+    alpha_next = alphas[j] if j < n else prof.alpha_next
+    return prof, MuJ(mu=mu, j=j, target=target), (mu - S.k) * d + alpha_next
 
 
 def bound_edge(S: ApSemigroup) -> int:

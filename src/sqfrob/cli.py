@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from math import gcd, isqrt
 
 from .arith import ApSemigroup, _bound_parts, ap_contains
 from .closedform import square_frobenius_closed
-from .core import (NumericalSemigroup, SemigroupError, _checked_generators,
-                   contains, frobenius)
+from .core import (NumericalSemigroup, SemigroupError, _canonical_json,
+                   _checked_generators, contains, frobenius)
 from .power import PowerFrobResult, power_frobenius_oracle, power_min_oracle
 from .verify import (compare_table1, exception_set, reproduce_table2,
                      verify_conjectures, verify_min_power_theorem,
@@ -36,20 +35,13 @@ def _gens_arg(text):
     return gens
 
 
-def _emit_json(payload):
-    if hasattr(payload, "to_json"):
-        return payload.to_json()
-    return json.dumps(payload, separators=(",", ":"))
-
-
 def _csv_cell(v):
-    return v if isinstance(v, (int, float, str, bool)) else json.dumps(v, separators=(",", ":"))
+    return v if isinstance(v, (int, float, str, bool)) else _canonical_json(v)
 
 
-def _emit_csv(payload):
+def _emit_csv(obj):
     buf = io.StringIO()
     w = csv.writer(buf)
-    obj = payload.to_dict() if hasattr(payload, "to_dict") else payload
     if isinstance(obj, dict):
         rows = None
         for key in ("members", "mismatches"):
@@ -69,10 +61,7 @@ def _emit_csv(payload):
     return buf.getvalue().rstrip("\n")
 
 
-def _emit_text(payload):
-    if hasattr(payload, "to_text"):
-        return payload.to_text()
-    obj = payload.to_dict() if hasattr(payload, "to_dict") else payload
+def _emit_text(obj):
     if isinstance(obj, dict):
         width = max(len(k) for k in obj)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in obj.items())
@@ -80,12 +69,13 @@ def _emit_text(payload):
 
 
 def _emit(payload, fmt):
+    obj = payload.to_dict() if hasattr(payload, "to_dict") else payload
     if fmt == "csv":
-        print(_emit_csv(payload))
+        print(_emit_csv(obj))
     elif fmt == "text":
-        print(_emit_text(payload))
+        print(payload.to_text() if hasattr(payload, "to_text") else _emit_text(obj))
     else:
-        print(_emit_json(payload))
+        print(_canonical_json(obj))
 
 
 def _cmd_frobenius(args):

@@ -16,14 +16,13 @@ This module is the one parser of the golden tables table1.tsv and table2.tsv.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from math import gcd, isqrt
 
 from .arith import ApSemigroup, _bound_parts
-from .core import SemigroupError
+from .core import CanonicalJson, SemigroupError
 # Not called here.  perfbench/tracing.py patches closedform.power_frobenius_oracle
 # by name, so removing this import makes every traced benchmark run fail.
 from .power import power_frobenius_oracle  # noqa: F401
@@ -130,7 +129,7 @@ def floor_half_sqrt2(c: int) -> int:
 
 
 @dataclass(frozen=True)
-class ClosedFormAnswer:
+class ClosedFormAnswer(CanonicalJson):
     """Square Frobenius number of <a, a+d> with the branch that produced it.
 
     value == root ** 2 always; b records the bracketing integer the branch
@@ -147,9 +146,6 @@ class ClosedFormAnswer:
     def to_dict(self):
         return {"a": self.a, "d": self.d, "value": self.value,
                 "root": self.root, "branch": self.branch}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
 def _sq_frob_ap(a, d):

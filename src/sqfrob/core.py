@@ -41,6 +41,18 @@ class FullSemigroup(SemigroupError):
     """The semigroup is all of N, so the requested quantity does not exist."""
 
 
+def _canonical_json(obj) -> str:
+    """The one canonical byte form of every JSON output: compact, keys in order."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
+class CanonicalJson:
+    """Mixin for result objects: to_json() is the canonical form of to_dict()."""
+
+    def to_json(self) -> str:
+        return _canonical_json(self.to_dict())
+
+
 def _checked_generators(generators):
     # sorted distinct generators, or the SemigroupError that rules them out
     gens = sorted({int(g) for g in generators})
@@ -96,7 +108,7 @@ class NumericalSemigroup:
         return f"NumericalSemigroup({list(self._gens)})"
 
     def to_json(self) -> str:
-        return json.dumps(list(self._gens), separators=(",", ":"))
+        return _canonical_json(list(self._gens))
 
     @classmethod
     def from_json(cls, text: str) -> "NumericalSemigroup":

@@ -14,12 +14,11 @@ steps, outside the canonical JSON.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .arith import ApSemigroup, ap_contains, ap_frobenius
-from .core import NegativeInput, apery_set, contains, frobenius
+from .arith import ApSemigroup, ap_contains, ap_frobenius, decompose
+from .core import CanonicalJson, NegativeInput, apery_set, contains, frobenius
 
 
 def isqrt(n: int) -> int:
@@ -52,7 +51,7 @@ def kth_root_floor(n: int, k: int) -> int:
 
 
 @dataclass(frozen=True)
-class PowerFrobResult:
+class PowerFrobResult(CanonicalJson):
     """A perfect k-power extremum of a semigroup, with provenance.
 
     method is one of "oracle", "closed_form", "bound".  witness, when
@@ -70,9 +69,6 @@ class PowerFrobResult:
 
     def to_dict(self):
         return {"k": self.k, "root": self.root, "value": self.value, "method": self.method}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
 def power_frobenius_oracle(S, k: int) -> PowerFrobResult:
@@ -114,9 +110,8 @@ def power_frobenius_oracle(S, k: int) -> PowerFrobResult:
 
 def _ap_hit(S, k, m, v, top):
     # the witness is the decomposition of v, rebuilt once the scan has stopped
-    y = v * S._dinv % S.a
-    return PowerFrobResult(k, m, v, "oracle", witness={"x": (v - S.d * y) // S.a, "y": y},
-                           steps=top - m + 1)
+    x, y = decompose(S, v)
+    return PowerFrobResult(k, m, v, "oracle", witness={"x": x, "y": y}, steps=top - m + 1)
 
 
 def power_min_oracle(S, k: int) -> PowerFrobResult:

@@ -9,7 +9,6 @@ for any worker count.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -18,21 +17,11 @@ from multiprocessing import Pool
 
 from .arith import ApSemigroup, DTooSmall, bound_B, lambda_profile
 from .closedform import load_table1, load_table2, sq_frob_d1, sq_frob_d2
+from .core import CanonicalJson
 from .power import power_frobenius_oracle, power_min_oracle
 
 DEFAULT_CHUNK = 4096
 MAX_CHUNKS = 4096
-
-
-def resolve_jobs(jobs=None) -> int:
-    """Worker count: explicit argument wins, then SQFROB_JOBS, then 1."""
-    if jobs is None:
-        env = os.environ.get("SQFROB_JOBS", "").strip()
-        try:
-            jobs = int(env) if env else 1
-        except ValueError:
-            raise ValueError(f"SQFROB_JOBS must be an integer, got {env!r}") from None
-    return max(1, int(jobs))
 
 
 def _chunks(work, size):
@@ -46,8 +35,10 @@ def _chunks(work, size):
 
 
 def _run(fn, argsets, jobs):
-    """[fn(*args) for args in argsets], over a Pool of at most one worker per CPU."""
-    jobs = min(resolve_jobs(jobs), len(argsets), os.cpu_count() or 1)
+    """[fn(*args) for args in argsets], over a Pool of at most one worker per CPU.
+
+    jobs None, 0 or negative runs in-process, as 1 does."""
+    jobs = min(jobs or 1, len(argsets), os.cpu_count() or 1)
     if jobs <= 1:
         return [fn(*args) for args in argsets]
     with Pool(processes=jobs) as pool:
@@ -62,7 +53,7 @@ class ExceptionRecord:
 
 
 @dataclass(frozen=True)
-class ExceptionReport:
+class ExceptionReport(CanonicalJson):
     """Exceptional first terms a where the square oracle misses bound_B."""
 
     d: int
@@ -80,12 +71,9 @@ class ExceptionReport:
                          "bound_B_value": r.bound_B_value} for r in self.members],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
 
 @dataclass
-class SweepReport:
+class SweepReport(CanonicalJson):
     """Outcome of one verification sweep; empty mismatches means it passed.
 
     wall_time is informational only and stays out of the canonical JSON so
@@ -115,9 +103,6 @@ class SweepReport:
         if self.extra:
             obj["extra"] = self.extra
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
     def from_parts(cls, scope, span, parts, t0, mismatches=None, extra=None):
@@ -158,7 +143,9 @@ def _equality_chunk(d, firsts):
     return checked, out
 
 
-def _equality_argsets(d, lo, hi):
+def _equality_argsets(d, lo=2, hi=None):
+    # by default the exception scan range [2, 4d^3 - 1]
+    hi = 4 * d ** 3 - 1 if hi is None else hi
     return [(d, firsts) for firsts in _chunks(range(lo, hi + 1), DEFAULT_CHUNK)]
 
 
@@ -166,9 +153,10 @@ def exception_set(d: int, jobs=None) -> ExceptionReport:
     """Exceptional a in [2, 4d^3 - 1]; outside that range oracle == bound."""
     if d < 3:
         raise DTooSmall(f"exception sets are defined for d >= 3, got {d}")
-    hi = 4 * d ** 3 - 1
-    parts = _run(_equality_chunk, _equality_argsets(d, 2, hi), jobs)
-    return ExceptionReport(d=d, scan_range=(2, hi), members=tuple(
+    argsets = _equality_argsets(d)
+    parts = _run(_equality_chunk, argsets, jobs)
+    span = (argsets[0][1][0], argsets[-1][1][-1])  # first and last a scanned
+    return ExceptionReport(d=d, scan_range=span, members=tuple(
         ExceptionRecord(m["a"], m["oracle"], m["bound"]) for p in parts for m in p[1]))
 
 
@@ -176,7 +164,7 @@ def compare_table1(jobs=None) -> SweepReport:
     """Recompute every golden exception set and diff against the stored table."""
     golden = load_table1()
     t0 = time.perf_counter()
-    argsets = [args for d in sorted(golden) for args in _equality_argsets(d, 2, 4 * d ** 3 - 1)]
+    argsets = [args for d in sorted(golden) for args in _equality_argsets(d)]
     parts = _run(_equality_chunk, argsets, jobs)
     got = {d: [] for d in golden}
     for (d, _), (_, found) in zip(argsets, parts):

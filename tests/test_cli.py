@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -197,6 +198,180 @@ def test_text_and_csv_formats(capsys):
     assert len(lines) == 6
     _, out, _ = run_cli(capsys, "tables", "--which", "2", "--format", "text")
     assert "passed:   True" in out
+
+
+# (argv, exit code, stdout under --format json, csv, text); the sweep
+# reports' walltime lines are masked
+CLI_BYTES = [
+    (('frobenius', '--gens', '5,6'), 0,
+     '19\n',
+     '19\r\n',
+     '19\n'),
+    (('member', '--gens', '4,7', '--value', '11'), 0,
+     'true\n',
+     'True\r\n',
+     'True\n'),
+    (('member', '--gens', '4,7', '--value', '10'), 0,
+     'false\n',
+     'False\r\n',
+     'False\n'),
+    (('power-frob', '--gens', '13,18', '--k', '2'), 0,
+     '{"k":2,"root":10,"value":100,"method":"oracle"}\n',
+     ('k,root,value,method\r\n'
+      '2,10,100,oracle\r\n'),
+     ('k       2\n'
+      'root    10\n'
+      'value   100\n'
+      'method  oracle\n')),
+    (('power-frob', '--gens', '10,13', '--k', '2', '--method', 'closed'), 0,
+     '{"k":2,"root":9,"value":81,"method":"closed_form"}\n',
+     ('k,root,value,method\r\n'
+      '2,9,81,closed_form\r\n'),
+     ('k       2\n'
+      'root    9\n'
+      'value   81\n'
+      'method  closed_form\n')),
+    (('power-min', '--gens', '4,9', '--k', '2'), 0,
+     '{"k":2,"root":2,"value":4,"method":"oracle"}\n',
+     ('k,root,value,method\r\n'
+      '2,2,4,oracle\r\n'),
+     ('k       2\n'
+      'root    2\n'
+      'value   4\n'
+      'method  oracle\n')),
+    (('bound', '--a', '13', '--d', '5', '--k', '1'), 0,
+     '{"a":13,"d":5,"k":1,"root":9,"value":81,"method":"bound"}\n',
+     ('a,d,k,root,value,method\r\n'
+      '13,5,1,9,81,bound\r\n'),
+     ('a       13\n'
+      'd       5\n'
+      'k       1\n'
+      'root    9\n'
+      'value   81\n'
+      'method  bound\n')),
+    (('bound', '--a', '2', '--d', '7', '--k', '2', '--dump-profile'), 0,
+     ('{"a":2,"d":7,"k":2,"root":1,"value":1,"method":"bound",'
+      '"profile":{"d":7,"lambdas":[0,3,5,6,6,5,3],"lambda_star":6,'
+      '"alphas":[3,4],"alpha_next":10,"mu":1,"j":2,"target":128,'
+      '"edge":3}}\n'),
+     ('a,d,k,root,value,method,profile\r\n'
+      '2,7,2,1,1,bound,"{""d"":7,""lambdas"":[0,3,5,6,6,5,3],'
+      '""lambda_star"":6,""alphas"":[3,4],""alpha_next"":10,""mu"":1,'
+      '""j"":2,""target"":128,""edge"":3}"\r\n'),
+     ('a        2\n'
+      'd        7\n'
+      'k        2\n'
+      'root     1\n'
+      'value    1\n'
+      'method   bound\n'
+      "profile  {'d': 7, 'lambdas': [0, 3, 5, 6, 6, 5, 3],"
+      " 'lambda_star': 6, 'alphas': [3, 4], 'alpha_next': 10, 'mu': 1,"
+      " 'j': 2, 'target': 128, 'edge': 3}\n")),
+    (('exceptions', '--d', '3'), 0,
+     '{"d":3,"scan_range":[2,107],"members":[]}\n',
+     ('d,scan_range,members\r\n'
+      '3,"[2,107]",[]\r\n'),
+     ('d           3\n'
+      'scan_range  [2, 107]\n'
+      'members     []\n')),
+    (('exceptions', '--d', '5'), 0,
+     ('{"d":5,"scan_range":[2,499],"members":[{"a":2,"oracle_value":1,'
+      '"bound_B_value":0},{"a":4,"oracle_value":1,"bound_B_value":4},'
+      '{"a":13,"oracle_value":100,"bound_B_value":81},{"a":27,'
+      '"oracle_value":441,"bound_B_value":400},{"a":32,'
+      '"oracle_value":676,"bound_B_value":625}]}\n'),
+     ('a,oracle_value,bound_B_value\r\n'
+      '2,1,0\r\n'
+      '4,1,4\r\n'
+      '13,100,81\r\n'
+      '27,441,400\r\n'
+      '32,676,625\r\n'),
+     ('d           5\n'
+      'scan_range  [2, 499]\n'
+      "members     [{'a': 2, 'oracle_value': 1, 'bound_B_value': 0},"
+      " {'a': 4, 'oracle_value': 1, 'bound_B_value': 4}, {'a': 13,"
+      " 'oracle_value': 100, 'bound_B_value': 81}, {'a': 27,"
+      " 'oracle_value': 441, 'bound_B_value': 400}, {'a': 32,"
+      " 'oracle_value': 676, 'bound_B_value': 625}]\n")),
+    (('tables', '--which', '1'), 0,
+     ('{"scope":"exception sets vs golden table","range":"d=3..12",'
+      '"checked":13766,"passed":true,"mismatches":[]}\n'),
+     ('scope,range,checked,passed,mismatches\r\n'
+      'exception sets vs golden table,d=3..12,13766,True,[]\r\n'),
+     ('scope:    exception sets vs golden table\n'
+      'range:    d=3..12\n'
+      'checked:  13766\n'
+      'passed:   True\n'
+      'walltime: *\n')),
+    (('tables', '--which', '2'), 0,
+     ('{"scope":"exceptional values vs golden table","range":"62 rows",'
+      '"checked":62,"passed":true,"mismatches":[]}\n'),
+     ('scope,range,checked,passed,mismatches\r\n'
+      'exceptional values vs golden table,62 rows,62,True,[]\r\n'),
+     ('scope:    exceptional values vs golden table\n'
+      'range:    62 rows\n'
+      'checked:  62\n'
+      'passed:   True\n'
+      'walltime: *\n')),
+    (('verify', '--target', 'conj1', '--max', '2000'), 0,
+     ('{"scope":"square-frobenius conjecture, d=1","range":[2,2000],'
+      '"checked":86,"passed":true,"mismatches":[]}\n'),
+     ('scope,range,checked,passed,mismatches\r\n'
+      '"square-frobenius conjecture, d=1","[2,2000]",86,True,[]\r\n'),
+     ('scope:    square-frobenius conjecture, d=1\n'
+      'range:    (2, 2000)\n'
+      'checked:  86\n'
+      'passed:   True\n'
+      'walltime: *\n')),
+    (('verify', '--target', 'conj2', '--max', '4000'), 0,
+     ('{"scope":"square-frobenius conjecture, d=2","range":[3,4000],'
+      '"checked":62,"passed":true,"mismatches":[]}\n'),
+     ('scope,range,checked,passed,mismatches\r\n'
+      '"square-frobenius conjecture, d=2","[3,4000]",62,True,[]\r\n'),
+     ('scope:    square-frobenius conjecture, d=2\n'
+      'range:    (3, 4000)\n'
+      'checked:  62\n'
+      'passed:   True\n'
+      'walltime: *\n')),
+    (('verify', '--target', 'theorem-ap', '--max', '600', '--d', '3', '--k', '1'), 0,
+     ('{"scope":"square bound, d=3 k=1","range":[2,600],"checked":330,'
+      '"passed":true,"mismatches":[],'
+      '"extra":{"weak_hypothesis_checked":360,'
+      '"weak_hypothesis_violations":[]}}\n'),
+     ('scope,range,checked,passed,mismatches,extra\r\n'
+      '"square bound, d=3 k=1","[2,600]",330,True,[],'
+      '"{""weak_hypothesis_checked"":360,'
+      '""weak_hypothesis_violations"":[]}"\r\n'),
+     ('scope:    square bound, d=3 k=1\n'
+      'range:    (2, 600)\n'
+      'checked:  330\n'
+      'passed:   True\n'
+      'walltime: *\n'
+      "extra:    {'weak_hypothesis_checked': 360,"
+      " 'weak_hypothesis_violations': []}\n")),
+    (('verify', '--target', 'min-power', '--max', '40'), 0,
+     ('{"scope":"smallest square vs (a-d)^2, k=1..4","range":[2,40],'
+      '"checked":788,"passed":true,"mismatches":[]}\n'),
+     ('scope,range,checked,passed,mismatches\r\n'
+      '"smallest square vs (a-d)^2, k=1..4","[2,40]",788,True,[]\r\n'),
+     ('scope:    smallest square vs (a-d)^2, k=1..4\n'
+      'range:    (2, 40)\n'
+      'checked:  788\n'
+      'passed:   True\n'
+      'walltime: *\n')),
+]
+
+FORMATS = ("json", "csv", "text")
+
+
+@pytest.mark.parametrize("argv,fmt,code,expected", [
+    pytest.param(argv, fmt, code, out,
+                 id="-".join(a.lstrip("-") for a in (*argv, fmt)))
+    for argv, code, *outs in CLI_BYTES for fmt, out in zip(FORMATS, outs)])
+def test_stdout_bytes_every_command_and_format(capsys, argv, fmt, code, expected):
+    got_code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    out = re.sub(r"(?m)^walltime: .*$", "walltime: *", out)
+    assert (got_code, out) == (code, expected)
 
 
 def test_unknown_arguments_exit_2():

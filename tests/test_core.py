@@ -1,3 +1,4 @@
+import json
 from math import gcd
 
 import pytest
@@ -43,6 +44,22 @@ def test_semigroup_equality_and_json():
     assert S.multiplicity == 4
     assert not S.is_full
     assert sq.make_semigroup([1]).is_full
+
+
+def test_every_result_serializes_through_one_canonical_form():
+    results = [
+        sq.ApSemigroup(13, 5, 1),
+        sq.lambda_profile(13, 5),
+        sq.square_frobenius_closed(10, 3),
+        sq.power_frobenius_oracle(sq.ApSemigroup(13, 5, 1), 2),
+        sq.exception_set(5),
+        sq.verify_theorem_bound(3, 1, 2, 600),
+    ]
+    for res in results:
+        assert res.to_json() == json.dumps(res.to_dict(), separators=(",", ":")), res
+    S = sq.ApSemigroup(13, 5, 1)
+    assert S.to_json() == '{"a":13,"d":5,"k":1}'
+    assert sq.ApSemigroup.from_json(S.to_json()) == S
 
 
 def test_apery_examples():

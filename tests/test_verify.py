@@ -221,17 +221,18 @@ def test_perfbench_patch_names_are_bound():
         assert hasattr(module, attr), (module.__name__, attr)
 
 
-def test_jobs_env_fallback(monkeypatch):
-    monkeypatch.delenv("SQFROB_JOBS", raising=False)
-    assert sq.verify.resolve_jobs(None) == 1
-    assert sq.verify.resolve_jobs(5) == 5
+def test_default_jobs_run_in_process(monkeypatch):
+    # jobs= is the only worker-count knob: no environment variable is read,
+    # and None, 0 or a negative count never starts a pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
     monkeypatch.setenv("SQFROB_JOBS", "3")
-    assert sq.verify.resolve_jobs(None) == 3
-    assert sq.verify.resolve_jobs(2) == 2
-    monkeypatch.setenv("SQFROB_JOBS", "abc")
-    with pytest.raises(ValueError, match="SQFROB_JOBS.*'abc'"):
-        sq.verify.resolve_jobs(None)
-    assert sq.verify.resolve_jobs(2) == 2
+    monkeypatch.setattr(sq.verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sq.verify, "Pool", no_pool)
+    for jobs in (None, 0, -3):
+        rep = sq.verify_conjectures(1, 100000, jobs=jobs)
+        assert rep.passed and rep.checked > 0, jobs
 
 
 def test_sweep_report_json_shape():
