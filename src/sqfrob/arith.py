@@ -4,14 +4,15 @@ Everything here is exact integer arithmetic: O(1) membership through the
 unique decomposition M = a*x + d*y with 0 <= y < a, the closed-form Frobenius
 number, and the machinery behind the square upper bound B(a, d, k): the
 per-residue corrections lambda_i, their maximum lambda_star, the residues
-alpha_1 < ... < alpha_n attaining it, and the grid cell (mu, j) bracketing
-sqrt((k*d - lambda_star) * (a + k*d)).  A profile depends on a only through
-a mod d and is cached per residue class.
+alpha_1 < ... < alpha_n attaining it, and the grid cell (mu, j) of the largest
+grid point mu*d + alpha_j <= isqrt((k*d - lambda_star) * (a + k*d)).  A profile
+depends on a only through a mod d and is cached per residue class.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
@@ -151,11 +152,11 @@ def square_in_ap(S: ApSemigroup, i: int) -> bool:
 
 @dataclass(frozen=True)
 class MuJ:
-    """Grid cell with grid(mu, j) <= sqrt(target) < grid(mu, j+1).
+    """Grid cell with grid(mu, j) <= isqrt(target) < grid(mu, j+1).
 
-    grid(mu, j) = mu*d + alphas[j-1] (j is 1-based), and the comparison with
-    sqrt(target) is read linearly: a non-positive grid point is always below,
-    otherwise squares are compared.  mu can be -1 for small first terms.
+    grid(mu, j) = mu*d + alphas[j-1] (j is 1-based): mu, r = divmod(isqrt(target), d)
+    and j counts the alphas <= r, or the cell is (mu - 1, n) when none is.  mu
+    can be -1 for small first terms.
     """
 
     mu: int
@@ -178,16 +179,12 @@ def _bound_parts(S):
     alphas = prof.alphas
     n = len(alphas)
     target = (S.k * d - prof.lambda_star) * (S.a + S.k * d)
-    # start strictly above sqrt(target), walk the grid downward to the bracket
-    mu, j = isqrt(target) // d + 1, n
-    while True:
-        g = mu * d + alphas[j - 1]
-        if g <= 0 or g * g <= target:
-            break
-        if j > 1:
-            j -= 1
-        else:
-            mu, j = mu - 1, n
+    # the largest grid point <= isqrt(target) is the largest one whose square
+    # is <= target, and every non-positive grid point lies below it too
+    mu, r = divmod(isqrt(target), d)
+    j = bisect_right(alphas, r)
+    if j == 0:
+        mu, j = mu - 1, n
     alpha_next = alphas[j] if j < n else prof.alpha_next
     return prof, MuJ(mu=mu, j=j, target=target), (mu - S.k) * d + alpha_next
 

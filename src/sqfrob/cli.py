@@ -79,11 +79,11 @@ def _emit(payload, fmt):
 
 
 def _cmd_frobenius(args):
-    return frobenius(NumericalSemigroup(args.gens)), 0
+    return frobenius(NumericalSemigroup(args.gens))
 
 
 def _cmd_member(args):
-    return contains(NumericalSemigroup(args.gens), args.value), 0
+    return contains(NumericalSemigroup(args.gens), args.value)
 
 
 def _closed_form_result(gens, k):
@@ -95,8 +95,8 @@ def _closed_form_result(gens, k):
         raise SemigroupError("closed forms cover squares only (need --k 2)")
     a = gens[0]
     b = next((g for g in gens if g % a), None)
-    if (b is None or gcd(a, b) != 1
-            or not all(ap_contains(ApSemigroup(a, b - a, 1), g) for g in gens)):
+    ap = ApSemigroup(a, b - a, 1) if b is not None and gcd(a, b) == 1 else None
+    if ap is None or not all(ap_contains(ap, g) for g in gens):
         raise SemigroupError(
             f"closed forms cover <a, a+d> only; got generators {gens}")
     ans = square_frobenius_closed(a, b - a)
@@ -105,12 +105,12 @@ def _closed_form_result(gens, k):
 
 def _cmd_power_frob(args):
     if args.method == "closed":
-        return _closed_form_result(args.gens, args.k), 0
-    return power_frobenius_oracle(NumericalSemigroup(args.gens), args.k), 0
+        return _closed_form_result(args.gens, args.k)
+    return power_frobenius_oracle(NumericalSemigroup(args.gens), args.k)
 
 
 def _cmd_power_min(args):
-    return power_min_oracle(NumericalSemigroup(args.gens), args.k), 0
+    return power_min_oracle(NumericalSemigroup(args.gens), args.k)
 
 
 def _cmd_bound(args):
@@ -119,31 +119,26 @@ def _cmd_bound(args):
     payload = {"a": args.a, "d": args.d, "k": args.k,
                "root": isqrt(value), "value": value, "method": "bound"}
     if args.dump_profile:
-        payload["profile"] = prof.to_dict()
-        payload["profile"].update({"mu": cell.mu, "j": cell.j, "target": cell.target,
-                                   "edge": edge})
-    return payload, 0
+        payload["profile"] = {**prof.to_dict(), "mu": cell.mu, "j": cell.j,
+                              "target": cell.target, "edge": edge}
+    return payload
 
 
 def _cmd_exceptions(args):
-    return exception_set(args.d, jobs=args.jobs), 0
+    return exception_set(args.d, jobs=args.jobs)
 
 
 def _cmd_tables(args):
-    report = compare_table1(jobs=args.jobs) if args.which == 1 else reproduce_table2()
-    return report, 0 if report.passed else 1
+    return compare_table1(jobs=args.jobs) if args.which == 1 else reproduce_table2()
 
 
-def _cmd_verify(args):
-    if args.target == "conj1":
-        report = verify_conjectures(1, args.max, jobs=args.jobs)
-    elif args.target == "conj2":
-        report = verify_conjectures(2, args.max, jobs=args.jobs)
-    elif args.target == "theorem-ap":
-        report = verify_theorem_bound(args.d, args.k, 2, args.max, jobs=args.jobs)
-    else:
-        report = verify_min_power_theorem(2, args.max, jobs=args.jobs)
-    return report, 0 if report.passed else 1
+_VERIFY_TARGETS = {
+    "conj1": lambda args: verify_conjectures(1, args.max, jobs=args.jobs),
+    "conj2": lambda args: verify_conjectures(2, args.max, jobs=args.jobs),
+    "theorem-ap": lambda args: verify_theorem_bound(args.d, args.k, 2, args.max,
+                                                    jobs=args.jobs),
+    "min-power": lambda args: verify_min_power_theorem(2, args.max, jobs=args.jobs),
+}
 
 
 def _parser():
@@ -201,23 +196,30 @@ def _parser():
     sp.set_defaults(handler=_cmd_tables)
 
     sp = sub.add_parser("verify", parents=[common], help="run a verification sweep")
-    sp.add_argument("--target", choices=("conj1", "conj2", "theorem-ap", "min-power"),
-                    required=True)
+    sp.add_argument("--target", choices=_VERIFY_TARGETS, required=True)
     sp.add_argument("--max", type=int, required=True)
     sp.add_argument("--d", type=int, default=3, help="for theorem-ap (default 3)")
     sp.add_argument("--k", type=int, default=2, help="for theorem-ap (default 2)")
     sp.add_argument("--jobs", type=int, default=None)
-    sp.set_defaults(handler=_cmd_verify)
+    sp.set_defaults(handler=lambda args: _VERIFY_TARGETS[args.target](args))
 
     return p
 
 
 def run(argv) -> int:
     args = _parser().parse_args(argv)
-    payload, code = args.handler(args)
-    if payload is not None:
+    payload = args.handler(args)
+    # Python caps int -> decimal str conversion (4300 digits by default, 0 is
+    # no cap) and answers may be longer; parsing the input above keeps the cap
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
         _emit(payload, args.format)
-    return code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    return 0 if getattr(payload, "passed", True) else 1
 
 
 def main(argv=None) -> int:

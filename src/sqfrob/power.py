@@ -118,13 +118,10 @@ def power_min_oracle(S, k: int) -> PowerFrobResult:
     """Smallest positive perfect k-power in S; halts by m = multiplicity."""
     if k < 2:
         raise ValueError(f"power must be >= 2, got {k}")
-    if isinstance(S, ApSemigroup):
-        member = lambda v: ap_contains(S, v)
-    else:
-        member = lambda v: contains(S, v)
+    member = ap_contains if isinstance(S, ApSemigroup) else contains
     m = 1
     while True:
         v = m ** k
-        if member(v):
+        if member(S, v):
             return PowerFrobResult(k, m, v, "oracle")
         m += 1

@@ -188,9 +188,8 @@ def reproduce_table2() -> SweepReport:
             mismatches.append({"d": d, "a": a,
                                "expected_sqfrob": sq_root ** 2, "got_sqfrob": got_sq.value,
                                "expected_bound": b_root ** 2, "got_bound": got_b})
-    return SweepReport(scope="exceptional values vs golden table", span=f"{len(rows)} rows",
-                       checked=len(rows), mismatches=mismatches,
-                       wall_time=time.perf_counter() - t0)
+    return SweepReport.from_parts("exceptional values vs golden table", f"{len(rows)} rows",
+                                  [(len(rows), mismatches)], t0)
 
 
 def verify_bound_equality(d, a_lo, a_hi, jobs=None) -> SweepReport:

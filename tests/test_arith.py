@@ -2,6 +2,8 @@ import dataclasses
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import sqfrob as sq
 from sqfrob import arith
@@ -199,6 +201,60 @@ def test_mu_j_bracket_is_unique():
             if holds_le(left, cell.target) and not holds_le(nxt, cell.target):
                 hits.append((mu, j))
         assert hits == [(cell.mu, cell.j)], (a, d, k, hits)
+
+
+def _below_or_at(g, t):
+    # grid point g is at most sqrt(t): non-positive, or its square <= t
+    return g <= 0 or g * g <= t
+
+
+def _assert_cell_brackets(S):
+    # the cell's grid point is at most sqrt(target) and the next one is above
+    prof = sq.lambda_profile(S.a, S.d)
+    cell = sq.mu_j(S)
+    alphas, n, d = prof.alphas, len(prof.alphas), S.d
+    left = cell.mu * d + alphas[cell.j - 1]
+    nxt = cell.mu * d + alphas[cell.j] if cell.j < n else (cell.mu + 1) * d + alphas[0]
+    assert 1 <= cell.j <= n
+    assert cell.target == (S.k * d - prof.lambda_star) * (S.a + S.k * d)
+    assert _below_or_at(left, cell.target) and not _below_or_at(nxt, cell.target)
+    assert sq.bound_edge(S) == (cell.mu - S.k) * d + (nxt - cell.mu * d)
+    return cell, n
+
+
+def test_mu_j_matches_grid_scan_at_last_alpha_and_negative_mu():
+    # every grid cell is tried, so the bracket found must be the only one
+    reached = set()
+    for a in range(2, 60):
+        for d in range(3, 24):
+            if gcd(a, d) != 1:
+                continue
+            for k in (1, 2, 3):
+                S = sq.ApSemigroup(a, d, k)
+                cell, n = _assert_cell_brackets(S)
+                alphas = sq.lambda_profile(a, d).alphas
+                ext = [(mu, j, mu * d + alphas[j - 1])
+                       for mu in range(-2, isqrt(cell.target) // d + 3)
+                       for j in range(1, n + 1)]
+                hits = [(mu, j) for (mu, j, g), (_, _, g2) in zip(ext, ext[1:])
+                        if _below_or_at(g, cell.target) and not _below_or_at(g2, cell.target)]
+                assert hits == [(cell.mu, cell.j)], (a, d, k, hits)
+                if cell.j == n:
+                    reached.add("j = n")
+                if cell.mu == -1:
+                    reached.add("mu = -1")
+    assert reached == {"j = n", "mu = -1"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(10 ** 12, 10 ** 40), st.integers(3, 5000), st.integers(1, 9))
+@example(10 ** 12, 3, 2)        # j = n = 2
+@example(10 ** 12 + 1, 3, 2)    # j = n = 2
+@example(10 ** 15 + 1, 4999, 9)
+def test_mu_j_brackets_for_huge_first_terms(a, d, k):
+    # a full grid is too long here, so only the returned cell is checked
+    assume(gcd(a, d) == 1)
+    _assert_cell_brackets(sq.ApSemigroup(a, d, k))
 
 
 def test_bound_B_examples():

@@ -422,3 +422,55 @@ def test_out_of_memory_in_lambda_profile_names_d(capsys, monkeypatch):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "lambda profile" in lines[0] and "unit of d" in lines[0]
+
+
+def test_answers_past_the_int_string_digit_limit(capsys):
+    # Python refuses int <-> str conversion past 4300 digits; the CLI lifts
+    # that limit only while it prints, so input parsing keeps it
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = get_limit()
+
+    def decimal(n):
+        if before is None:
+            return str(n)
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    a = 10 ** 3000 + 1
+    bound = arith.bound_B(arith.ApSemigroup(a, 3, 1))
+    assert len(decimal(bound)) > 4300
+    for fmt in ("json", "csv", "text"):
+        code, out, err = run_cli(capsys, "bound", "--a", str(a), "--d", "3", "--k", "1",
+                                 "--format", fmt)
+        assert (code, err) == (0, "") and decimal(bound) in out, fmt
+        assert get_limit() == before
+        code, out, err = run_cli(capsys, "power-min", "--gens", "5,7", "--k", "20000",
+                                 "--format", fmt)
+        assert (code, err) == (0, "") and decimal(2 ** 20000) in out, fmt
+        assert get_limit() == before
+    code, out, _ = run_cli(capsys, "power-min", "--gens", "5,7", "--k", "20000")
+    assert out == f'{{"k":20000,"root":2,"value":{decimal(2 ** 20000)},"method":"oracle"}}\n'
+    if before is not None:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["member", "--gens", "4,7", "--value", "7" * 5000])
+        assert exc.value.code == 2
+        assert get_limit() == before
+
+
+def test_failing_sweep_exits_1(capsys, monkeypatch):
+    from sqfrob.verify import SweepReport
+
+    def failing(which, max_a, jobs=None):
+        return SweepReport(scope="stub", span=(2, max_a), checked=1,
+                           mismatches=[{"a": 2}])
+
+    monkeypatch.setattr(cli, "verify_conjectures", failing)
+    code, out, _ = run_cli(capsys, "verify", "--target", "conj1", "--max", "10")
+    assert code == 1 and json.loads(out)["passed"] is False
+    code, _, _ = run_cli(capsys, "verify", "--target", "conj2", "--max", "10")
+    assert code == 1
+    code, _, _ = run_cli(capsys, "verify", "--target", "min-power", "--max", "10")
+    assert code == 0

@@ -144,6 +144,22 @@ def test_power_min_oracle_matches_naive(gens, power):
     assert sq.power_min_oracle(S, power).value == naive.min_power(gens, power)
 
 
+
+def test_power_min_oracle_ap_route_matches_naive():
+    cases = 0
+    for a in range(2, 25):
+        for d in range(1, 9):
+            if gcd(a, d) != 1:
+                continue
+            for k in (1, 2, 3):
+                S = sq.ApSemigroup(a, d, k)
+                for p in (2, 3):
+                    assert sq.power_min_oracle(S, p).value == \
+                        naive.min_power(S.generators, p), (a, d, k, p)
+                    cases += 1
+    assert cases == 702
+
+
 def test_min_power_between_multiplicity_and_its_kth_power():
     # smallest k-power in S lies in [multiplicity, multiplicity**k]
     for gens in ([4, 9], [5, 7, 9], [7, 11, 13], [13, 18], [6, 10, 15], [9, 10]):
