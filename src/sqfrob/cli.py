@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import reprlib
 import sys
 from math import gcd, isqrt
 
@@ -25,11 +26,21 @@ from .verify import (compare_table1, exception_set, reproduce_table2,
                      verify_theorem_bound)
 
 
-def _gens_arg(text):
+def _int_arg(text):
+    """The one parser of integer options and --gens items; its error is one short line."""
     try:
-        gens = [int(x) for x in text.split(",") if x.strip()]
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        digits = text.strip().lstrip("+-").replace("_", "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits.isdecimal() and 0 < limit < len(digits):
+        raise argparse.ArgumentTypeError(f"integer of {len(digits)} digits exceeds Python's "
+                                         f"int string conversion limit of {limit} digits")
+    raise argparse.ArgumentTypeError(f"expected an integer, got {reprlib.repr(text)}")
+
+
+def _gens_arg(text):
+    gens = [_int_arg(x) for x in text.split(",") if x.strip()]
     if not gens:
         raise argparse.ArgumentTypeError("no generators given")
     return gens
@@ -43,19 +54,13 @@ def _emit_csv(obj):
     buf = io.StringIO()
     w = csv.writer(buf)
     if isinstance(obj, dict):
-        rows = None
-        for key in ("members", "mismatches"):
-            if isinstance(obj.get(key), list) and obj[key] and isinstance(obj[key][0], dict):
-                rows = obj[key]
-                break
-        if rows is not None:
-            header = list(rows[0].keys())
-            w.writerow(header)
-            for r in rows:
-                w.writerow([_csv_cell(r.get(h)) for h in header])
-        else:
-            w.writerow(obj.keys())
-            w.writerow([_csv_cell(v) for v in obj.values()])
+        # one row per entry of a members/mismatches list of dicts, else one row
+        rows = next((obj[key] for key in ("members", "mismatches")
+                     if isinstance(obj.get(key), list) and obj[key]
+                     and isinstance(obj[key][0], dict)), [obj])
+        header = list(rows[0])
+        w.writerow(header)
+        w.writerows([_csv_cell(r.get(h)) for h in header] for r in rows)
     else:
         w.writerow([_csv_cell(obj)])
     return buf.getvalue().rstrip("\n")
@@ -158,49 +163,49 @@ def _parser():
 
     sp = sub.add_parser("member", parents=[common], help="membership test")
     sp.add_argument("--gens", type=_gens_arg, required=True)
-    sp.add_argument("--value", type=int, required=True)
+    sp.add_argument("--value", type=_int_arg, required=True)
     sp.set_defaults(handler=_cmd_member)
 
     sp = sub.add_parser("power-frob", parents=[common],
                         help="largest perfect k-power outside the semigroup")
     sp.add_argument("--gens", type=_gens_arg, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_int_arg, required=True)
     sp.add_argument("--method", choices=("oracle", "closed"), default="oracle")
     sp.set_defaults(handler=_cmd_power_frob)
 
     sp = sub.add_parser("power-min", parents=[common],
                         help="smallest positive perfect k-power in the semigroup")
     sp.add_argument("--gens", type=_gens_arg, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_int_arg, required=True)
     sp.set_defaults(handler=_cmd_power_min)
 
     sp = sub.add_parser("bound", parents=[common],
                         help="closed-form square upper bound B(a, d, k)")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--a", type=_int_arg, required=True)
+    sp.add_argument("--d", type=_int_arg, required=True)
+    sp.add_argument("--k", type=_int_arg, required=True)
     sp.add_argument("--dump-profile", action="store_true",
                     help="include the lambda/alpha profile and bracket cell")
     sp.set_defaults(handler=_cmd_bound)
 
     sp = sub.add_parser("exceptions", parents=[common],
                         help="first terms where the square oracle misses the bound")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--d", type=_int_arg, required=True)
+    sp.add_argument("--jobs", type=_int_arg, default=None)
     sp.set_defaults(handler=_cmd_exceptions)
 
     sp = sub.add_parser("tables", parents=[common],
                         help="recompute a golden table and diff it")
-    sp.add_argument("--which", type=int, choices=(1, 2), required=True)
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--which", type=_int_arg, choices=(1, 2), required=True)
+    sp.add_argument("--jobs", type=_int_arg, default=None)
     sp.set_defaults(handler=_cmd_tables)
 
     sp = sub.add_parser("verify", parents=[common], help="run a verification sweep")
     sp.add_argument("--target", choices=_VERIFY_TARGETS, required=True)
-    sp.add_argument("--max", type=int, required=True)
-    sp.add_argument("--d", type=int, default=3, help="for theorem-ap (default 3)")
-    sp.add_argument("--k", type=int, default=2, help="for theorem-ap (default 2)")
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--max", type=_int_arg, required=True)
+    sp.add_argument("--d", type=_int_arg, default=3, help="for theorem-ap (default 3)")
+    sp.add_argument("--k", type=_int_arg, default=2, help="for theorem-ap (default 2)")
+    sp.add_argument("--jobs", type=_int_arg, default=None)
     sp.set_defaults(handler=lambda args: _VERIFY_TARGETS[args.target](args))
 
     return p

@@ -1,9 +1,10 @@
-"""Closed forms for the square Frobenius number of <a, a+d>, d = 1..5.
+"""Closed forms for the square Frobenius number of <a, a+d>.
 
-For d = 3, 4, 5 the answer is exact: it is the golden value of table2.tsv
-when (d, a) has a row there, and otherwise the bound B(a, d, 1) of arith,
-which equals the square Frobenius number outside that finite exception set.
-The branch label and b come from the alpha-grid cell the bound brackets.
+Covered are d = 1, 2 and every d with a row in the golden table1.tsv (3..12
+today).  For those d >= 3 the answer is exact: the golden value of table2.tsv
+when (d, a) has a row there, else the bound B(a, d, 1) of arith, which equals
+the square Frobenius number outside the exception set table1.tsv lists.  The
+branch label and b come from the alpha-grid cell the bound brackets.
 
 For d = 1, 2 the generic (non-square) case is exact as well; when a sits on
 or next to a perfect square the value returned follows the conjectured
@@ -59,8 +60,9 @@ def load_table2() -> list[tuple[int, int, int, int]]:
 
 
 @cache
-def _golden_roots():
-    return {(d, a): root for d, a, root, _ in load_table2()}
+def _golden():
+    # the d that table1.tsv covers, and table2.tsv's exception roots by (d, a)
+    return sorted(load_table1()), {(d, a): root for d, a, root, _ in load_table2()}
 
 
 class BadResidue(SemigroupError):
@@ -149,12 +151,13 @@ class ClosedFormAnswer(CanonicalJson):
 
 
 def _sq_frob_ap(a, d):
-    """Shared d = 3, 4, 5 form: the golden exception row, else the bound B(a, d, 1)."""
-    if a < 2:
-        raise SemigroupError(f"a must be >= 2, got {a}")
+    """Exact for every d with a table1.tsv row: the golden exception row, else B(a, d, 1)."""
+    covered, roots = _golden()
+    if d not in covered:
+        raise SemigroupError(f"no closed form for d = {d} (need 1 <= d <= {covered[-1]})")
     if gcd(a, d) != 1:
         raise BadResidue(f"a = {a} shares a factor with d = {d}")
-    root = _golden_roots().get((d, a))
+    root = roots.get((d, a))
     if root is not None:
         return ClosedFormAnswer(a, d, root * root, root, "exception")
     prof, cell, edge = _bound_parts(ApSemigroup(a, d, 1))
@@ -239,12 +242,10 @@ def sq_frob_d2(a: int) -> ClosedFormAnswer:
     return ClosedFormAnswer(a, 2, (a - c) ** 2, a - c, "nonsquare", (c - 1) // 2)
 
 
-_DISPATCH = {1: sq_frob_d1, 2: sq_frob_d2, 3: sq_frob_d3, 4: sq_frob_d4, 5: sq_frob_d5}
-
-
 def square_frobenius_closed(a: int, d: int) -> ClosedFormAnswer:
-    """Dispatch to the closed form for d in 1..5."""
-    fn = _DISPATCH.get(d)
-    if fn is None:
-        raise SemigroupError(f"no closed form for d = {d} (need 1 <= d <= {max(_DISPATCH)})")
-    return fn(a)
+    """The closed form for d = 1, 2 or any d with a golden table1.tsv row."""
+    if d == 1:
+        return sq_frob_d1(a)
+    if d == 2:
+        return sq_frob_d2(a)
+    return _sq_frob_ap(a, d)

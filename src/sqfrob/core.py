@@ -164,7 +164,7 @@ def _apery_entries(gens, m):
                     dist[r] = cur
                 else:
                     cur = dist[r]
-    return tuple(kept), tuple(int(v) for v in dist)
+    return tuple(kept), tuple(dist)
 
 
 def apery_set(S: NumericalSemigroup, m: int | None = None) -> AperyTable:
@@ -198,8 +198,6 @@ def frobenius(S: NumericalSemigroup) -> int:
 
 def gaps(S: NumericalSemigroup) -> list[int]:
     """Sorted list of the positive integers missing from S."""
-    if S.is_full:
-        return []
     table = apery_set(S)
     m = table.modulus
     top = max(table.entries) - m

@@ -38,8 +38,6 @@ def kth_root_floor(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    if n == 0:
-        return 0
     lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k)  # hi**k > n
     while hi - lo > 1:
         mid = (lo + hi) // 2

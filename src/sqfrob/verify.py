@@ -128,15 +128,19 @@ class SweepReport(CanonicalJson):
         return "\n".join(lines)
 
 
+def _oracle_and_bound(a, d, k):
+    """(square oracle value, bound_B) of <a, a+d, ..., a+kd>, on one ApSemigroup."""
+    s = ApSemigroup(a, d, k)
+    return power_frobenius_oracle(s, 2).value, bound_B(s)
+
+
 def _equality_chunk(d, firsts):
     checked = 0
     out = []
     for a in firsts:
         if gcd(a, d) != 1:
             continue
-        s = ApSemigroup(a, d, 1)
-        got = power_frobenius_oracle(s, 2).value
-        bb = bound_B(s)
+        got, bb = _oracle_and_bound(a, d, 1)
         checked += 1
         if got != bb:
             out.append({"a": a, "oracle": got, "bound": bb})
@@ -181,12 +185,10 @@ def reproduce_table2() -> SweepReport:
     mismatches = []
     rows = load_table2()
     for d, a, sq_root, b_root in rows:
-        s = ApSemigroup(a, d, 1)
-        got_sq = power_frobenius_oracle(s, 2)
-        got_b = bound_B(s)
-        if got_sq.value != sq_root ** 2 or got_b != b_root ** 2:
+        got_sq, got_b = _oracle_and_bound(a, d, 1)
+        if got_sq != sq_root ** 2 or got_b != b_root ** 2:
             mismatches.append({"d": d, "a": a,
-                               "expected_sqfrob": sq_root ** 2, "got_sqfrob": got_sq.value,
+                               "expected_sqfrob": sq_root ** 2, "got_sqfrob": got_sq,
                                "expected_bound": b_root ** 2, "got_bound": got_b})
     return SweepReport.from_parts("exceptional values vs golden table", f"{len(rows)} rows",
                                   [(len(rows), mismatches)], t0)
@@ -211,18 +213,14 @@ def _bound_upper_chunk(d, k, firsts):
         weak = a + k * d > (4 * (k * d - prof.lambda_star) + 1) * d * d
         if not (strong or weak):
             continue
-        s = ApSemigroup(a, d, k)
-        got = power_frobenius_oracle(s, 2).value
-        bb = bound_B(s)
-        ok = got <= bb
+        got, bb = _oracle_and_bound(a, d, k)
+        viol = [] if got <= bb else [{"a": a, "oracle": got, "bound": bb}]
         if strong:
             strong_checked += 1
-            if not ok:
-                strong_viol.append({"a": a, "oracle": got, "bound": bb})
+            strong_viol += viol
         if weak:
             weak_checked += 1
-            if not ok:
-                weak_viol.append({"a": a, "oracle": got, "bound": bb})
+            weak_viol += viol
     return strong_checked, strong_viol, weak_checked, weak_viol
 
 
@@ -280,8 +278,6 @@ def _min_power_chunk(k_lo, k_hi, firsts):
     checked = 0
     viol = []
     for a in firsts:
-        if a < 2:
-            continue
         for k in range(k_lo, k_hi + 1):
             for d in range(1, a * k // (2 * k + 1) + 1):
                 if gcd(a, d) != 1:

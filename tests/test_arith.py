@@ -278,3 +278,8 @@ def test_bound_edge_covers_all_larger_squares():
             assert sq.bound_B(S) == (a - edge) ** 2
             for i in range(-k * d, edge):
                 assert sq.square_in_ap(S, i), (a, d, k, i)
+
+
+def test_lambda_profile_rejects_d_below_1():
+    with pytest.raises(sq.SemigroupError):
+        arith.lambda_profile(1, 0)

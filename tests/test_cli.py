@@ -61,9 +61,9 @@ def test_power_frob_closed_rejects_bad_shapes(capsys):
     code, _, err = run_cli(capsys, "power-frob", "--gens", "10,13", "--k", "3",
                            "--method", "closed")
     assert code == 2 and "error:" in err
-    code, _, err = run_cli(capsys, "power-frob", "--gens", "3,10", "--k", "2",
+    code, _, err = run_cli(capsys, "power-frob", "--gens", "3,16", "--k", "2",
                            "--method", "closed")
-    assert code == 2 and "error:" in err and "d = 7" in err
+    assert code == 2 and "error:" in err and "d = 13" in err
 
 
 def test_power_frob_closed_matches_oracle(capsys):
@@ -474,3 +474,41 @@ def test_failing_sweep_exits_1(capsys, monkeypatch):
     assert code == 1
     code, _, _ = run_cli(capsys, "verify", "--target", "min-power", "--max", "10")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, needles", [
+    (["frobenius", "--gens", "7" * 5000 + ",3"], ["5000 digits", "limit"]),
+    (["member", "--gens", "4,7", "--value", "7" * 5000], ["5000 digits", "limit"]),
+    (["bound", "--a", "7" * 5000, "--d", "3", "--k", "1"], ["5000 digits", "limit"]),
+    (["frobenius", "--gens", "4,x"], ["expected an integer", "'x'"]),
+    (["frobenius", "--gens", ","], ["no generators given"]),
+    (["member", "--gens", "4,7", "--value", "x" * 5000], ["expected an integer"]),
+    (["exceptions", "--d", "5", "--jobs", "two"], ["expected an integer", "'two'"]),
+])
+def test_integer_inputs_exit_2_with_one_short_message(capsys, argv, needles):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if "limit" in needles and not limit:
+        pytest.skip("this Python has no int string conversion limit")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("sqfrob ") and "error:" in last
+    for needle in needles:
+        assert needle in last, (needle, last)
+    if "limit" in needles:
+        assert f"{limit} digits" in last
+    assert max(len(line) for line in captured.err.splitlines()) <= 200
+
+
+def test_closed_form_covers_every_table1_d(capsys):
+    # d = 6 has a table1.tsv row, so it answers; d = 13 is the first without
+    code, out, _ = run_cli(capsys, "power-frob", "--gens", "7,13", "--k", "2",
+                           "--method", "closed")
+    assert code == 0 and json.loads(out) == {"k": 2, "root": 8, "value": 64,
+                                             "method": "closed_form"}
+    _, oracle, _ = run_cli(capsys, "power-frob", "--gens", "7,13", "--k", "2")
+    assert json.loads(oracle)["value"] == 64
+    with pytest.raises(core.SemigroupError, match="d = 13"):
+        cli.square_frobenius_closed(7, 13)

@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 import sqfrob as sq
+from sqfrob import closedform
 
 
 def oracle(a, d):
@@ -182,3 +183,44 @@ def test_dispatcher():
 def test_answer_json():
     ans = sq.sq_frob_d3(10)
     assert ans.to_json() == '{"a":10,"d":3,"value":81,"root":9,"branch":"3b+1"}'
+
+
+@pytest.mark.parametrize("d", range(6, 13))
+def test_closed_form_equals_oracle_for_every_table1_d(d):
+    # d = 6..12 have golden table1.tsv rows, so their closed form is exact:
+    # every coprime a past the exception scan range [2, 4d^3 - 1] and beyond
+    for a in [*range(2, 4 * d ** 3 + 2000), 10 ** 12 + 1]:
+        if gcd(a, d) == 1:
+            assert sq.square_frobenius_closed(a, d).value == oracle(a, d), (a, d)
+
+
+def test_closed_form_range_is_read_from_table1_once(monkeypatch):
+    calls = []
+    real = closedform.load_table1
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(closedform, "load_table1", counting)
+    closedform._golden.cache_clear()
+    try:
+        for d in (3, 7, 12):
+            sq.square_frobenius_closed(13, d)
+        with pytest.raises(sq.SemigroupError, match="d = 13"):
+            sq.square_frobenius_closed(14, 13)
+        assert len(calls) == 1
+    finally:
+        closedform._golden.cache_clear()
+
+
+def test_d1_needs_a_at_least_2():
+    with pytest.raises(sq.SemigroupError):
+        sq.sq_frob_d1(1)
+
+
+def test_corrupt_table1_row_is_rejected(monkeypatch):
+    text = "d\tcount\tmembers\n5\t4\t2,4,13,27,32\n"
+    monkeypatch.setattr(closedform, "_data_text", lambda name: text)
+    with pytest.raises(ValueError, match="corrupt golden table1 row"):
+        closedform.load_table1()

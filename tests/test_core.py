@@ -230,3 +230,10 @@ def test_genus_matches_gap_count(gens):
     S = sq.make_semigroup(gens)
     reach = naive.reachable(gens, naive.frobenius(gens))
     assert sq.genus(S) == len(sq.gaps(S)) == reach[1:].count(0), gens
+
+
+def test_semigroup_equality_is_by_minimal_generators():
+    s = sq.NumericalSemigroup([3, 5])
+    assert s.__eq__((3, 5)) is NotImplemented and s != (3, 5)
+    t = sq.NumericalSemigroup([5, 3, 8, 10])
+    assert s == t and hash(s) == hash(t)

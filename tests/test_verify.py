@@ -242,3 +242,77 @@ def test_sweep_report_json_shape():
                    "checked": 4, "passed": True, "mismatches": []}
     assert "wall_time" not in obj
     assert rep.wall_time >= 0.0
+
+
+# Every sweep can fail: each test below breaks one input the sweep compares
+# and checks that the report names it with the sweep's own mismatch keys.
+
+def test_compare_table1_reports_a_dropped_golden_member(monkeypatch):
+    golden = sq.load_table1()
+    full, golden[5] = golden[5], golden[5][1:]
+    monkeypatch.setattr(sq.verify, "load_table1", lambda: golden)
+    rep = sq.compare_table1()
+    assert not rep.passed
+    assert rep.mismatches == [{"d": 5, "expected": full[1:], "got": full}]
+
+
+def test_reproduce_table2_reports_a_wrong_row(monkeypatch):
+    d, a, root, b_root = sq.load_table2()[0]
+    monkeypatch.setattr(sq.verify, "load_table2", lambda: [(d, a, root + 1, b_root)])
+    rep = sq.reproduce_table2()
+    assert not rep.passed and rep.checked == 1
+    assert rep.mismatches == [{"d": d, "a": a,
+                               "expected_sqfrob": (root + 1) ** 2, "got_sqfrob": root ** 2,
+                               "expected_bound": b_root ** 2, "got_bound": b_root ** 2}]
+    assert f"mismatch: {rep.mismatches[0]}" in rep.to_text().splitlines()
+
+
+def test_verify_theorem_bound_reports_strong_and_weak_violations(monkeypatch):
+    real = sq.verify.bound_B
+    monkeypatch.setattr(sq.verify, "bound_B", lambda s: real(s) - 1)
+    rep = sq.verify_theorem_bound(3, 1, 2, 300)
+    assert not rep.passed
+    weak = rep.extra["weak_hypothesis_violations"]
+    assert rep.mismatches and weak
+    for m in rep.mismatches + weak:
+        assert set(m) == {"a", "oracle", "bound"} and m["oracle"] > m["bound"]
+    assert all(m["a"] >= 4 * 27 - 3 for m in rep.mismatches)
+
+
+def test_verify_conjectures_reports_a_wrong_prediction(monkeypatch):
+    monkeypatch.setattr(sq.verify, "sq_frob_d1",
+                        lambda a: sq.ClosedFormAnswer(a, 1, 0, 0, "stub"))
+    rep = sq.verify_conjectures(1, 10)
+    assert not rep.passed and rep.checked == 4
+    assert [m["a"] for m in rep.mismatches] == [3, 4, 8, 9]
+    assert all(set(m) == {"a", "predicted", "branch", "oracle"} and m["predicted"] == 0
+               and m["branch"] == "stub" and m["oracle"] > 0 for m in rep.mismatches)
+
+
+def test_verify_min_power_theorem_reports_a_violation_and_skips_a_below_2(monkeypatch):
+    checked = sq.verify_min_power_theorem(2, 12, 1, 1).checked
+    monkeypatch.setattr(sq.verify, "power_min_oracle",
+                        lambda s, k: sq.PowerFrobResult(k, s.a, s.a ** k, "oracle"))
+    rep = sq.verify_min_power_theorem(0, 12, 1, 1)
+    assert not rep.passed and rep.checked == checked
+    assert rep.mismatches and all(
+        set(m) == {"a", "d", "k", "min_square"} and m["min_square"] > (m["a"] - m["d"]) ** 2
+        for m in rep.mismatches)
+
+
+def test_failing_sweep_through_the_cli_exits_1(capsys, monkeypatch):
+    from sqfrob import cli
+
+    monkeypatch.setattr(sq.verify, "sq_frob_d1",
+                        lambda a: sq.ClosedFormAnswer(a, 1, 0, 0, "stub"))
+    assert cli.main(["verify", "--target", "conj1", "--max", "10"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_theorem_bound_rejects_small_d_before_any_chunk(monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(sq.verify, "_run", no_chunk)
+    with pytest.raises(sq.DTooSmall):
+        sq.verify_theorem_bound(2, 1, 2, 10)
