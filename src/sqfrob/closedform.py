@@ -6,11 +6,14 @@ when (d, a) has a row there, else the bound B(a, d, 1) of arith, which equals
 the square Frobenius number outside the exception set table1.tsv lists.  The
 branch label and b come from the alpha-grid cell the bound brackets.
 
-For d = 1, 2 the generic (non-square) case is exact as well; when a sits on
-or next to a perfect square the value returned follows the conjectured
-branch rule over the u-sequence.  No closed form calls the oracle: the true
-value is power_frobenius_oracle(ApSemigroup(a, d, 1), 2), which the verify
-sweeps compare these formulas against.
+For d = 1, 2 one branch rule covers both: when a ("square") or a+d
+("adjacent") is a perfect square c^2, the root is a - floor(c*sqrt(3)) if c
+is a u-number of that case's index family, else a - d*(floor(c*sqrt(2)) // d);
+one small u-number in two of the four cases has a fixed root instead.  Every other a is exact: its root is a - c
+for the largest c <= sqrt(a) congruent to a mod d.  The square and adjacent
+branches are conjectured.  No closed form calls the oracle: the true value
+is power_frobenius_oracle(ApSemigroup(a, d, 1), 2), which the verify sweeps
+compare these formulas against.
 
 This module is the one parser of the golden tables table1.tsv and table2.tsv.
 """
@@ -34,13 +37,17 @@ def _data_text(name):
     return resources.files("sqfrob").joinpath(f"data/{name}").read_text(encoding="ascii")
 
 
+def _rows(name):
+    """Tab-split fields of every non-blank row of a golden table, header skipped."""
+    for line in _data_text(name).splitlines()[1:]:
+        if line.strip():
+            yield line.split("\t")
+
+
 def load_table1() -> dict[int, list[int]]:
     """Golden exception sets, keyed by d."""
     out = {}
-    for line in _data_text("table1.tsv").splitlines()[1:]:
-        if not line.strip():
-            continue
-        d, count, members = line.split("\t")
+    for d, count, members in _rows("table1.tsv"):
         vals = [] if members == "-" else [int(x) for x in members.split(",")]
         if len(vals) != int(count):
             raise ValueError(f"corrupt golden table1 row for d={d}")
@@ -50,13 +57,7 @@ def load_table1() -> dict[int, list[int]]:
 
 def load_table2() -> list[tuple[int, int, int, int]]:
     """Golden rows (d, a, sqfrob_root, bound_root) for the exceptional cases."""
-    rows = []
-    for line in _data_text("table2.tsv").splitlines()[1:]:
-        if not line.strip():
-            continue
-        d, a, r1, r2 = (int(x) for x in line.split("\t"))
-        rows.append((d, a, r1, r2))
-    return rows
+    return [(int(d), int(a), int(r1), int(r2)) for d, a, r1, r2 in _rows("table2.tsv")]
 
 
 @cache
@@ -183,69 +184,51 @@ def sq_frob_d5(a: int) -> ClosedFormAnswer:
     return _sq_frob_ap(a, 5)
 
 
-def sq_frob_d1(a: int) -> ClosedFormAnswer:
-    """Square Frobenius number of <a, a+1>.
+# The d = 1, 2 rule has one row per (d, kind): kind "square" looks at t = a,
+# "adjacent" at t = a + d, and the u-index family is f"d{d}_{kind}".  A row's
+# value is its off-rule member (c, root, branch), which the rule would miss.
+_OFF_RULE = {
+    (1, "square"): None,
+    (1, "adjacent"): (3, 2, "adjacent-u3"),
+    (2, "square"): (7, 38, "square-u5"),
+    (2, "adjacent"): None,
+}
 
-    Exact when neither a nor a+1 is a perfect square; otherwise the branch
-    choice follows the conjectured u-index rule.
-    """
-    if a < 2:
-        raise SemigroupError(f"a must be >= 2, got {a}")
-    b = isqrt(a)
-    if b * b == a:
-        if u_index_set_member(b, "d1_square"):
-            root, branch = a - floor_sqrt3(b), "square-sqrt3"
-        else:
-            root, branch = a - floor_sqrt2(b), "square-sqrt2"
-        return ClosedFormAnswer(a, 1, root * root, root, branch, b)
-    c = isqrt(a + 1)
-    if c * c == a + 1:
-        if not u_index_set_member(c, "d1_adjacent"):
-            root, branch = a - floor_sqrt2(c), "adjacent-sqrt2"
-        elif c == 3:
-            root, branch = 2, "adjacent-u3"
-        else:
-            root, branch = a - floor_sqrt3(c), "adjacent-sqrt3"
-        return ClosedFormAnswer(a, 1, root * root, root, branch, c)
-    return ClosedFormAnswer(a, 1, (a - b) ** 2, a - b, "nonsquare", b)
+
+def _sq_frob_small(a, d):
+    """The branch rule for d = 1, 2 (module docstring); b is (c + 1 - d) // d."""
+    if a < d + 1:
+        raise SemigroupError(f"a must be >= {d + 1}, got {a}")
+    if gcd(a, d) != 1:
+        raise EvenInput(f"a = {a} is even")
+    for kind, t in (("square", a), ("adjacent", a + d)):
+        c = isqrt(t)
+        if c * c == t:
+            off = _OFF_RULE[d, kind]
+            if off and off[0] == c:
+                _, root, branch = off
+            elif u_index_set_member(c, f"d{d}_{kind}"):
+                root, branch = a - floor_sqrt3(c), f"{kind}-sqrt3"
+            else:
+                root, branch = a - floor_sqrt2(c) // d * d, f"{kind}-sqrt2"
+            break
+    else:
+        s = isqrt(a)
+        c = s - (s - a) % d
+        root, branch = a - c, "nonsquare"
+    return ClosedFormAnswer(a, d, root * root, root, branch, (c + 1 - d) // d)
+
+
+def sq_frob_d1(a: int) -> ClosedFormAnswer:
+    """Square Frobenius number of <a, a+1>; conjectured when a or a+1 is a square."""
+    return _sq_frob_small(a, 1)
 
 
 def sq_frob_d2(a: int) -> ClosedFormAnswer:
-    """Square Frobenius number of <a, a+2>, a odd.
-
-    Exact when neither a nor a+2 is a perfect square; otherwise conjectured
-    as in sq_frob_d1.
-    """
-    if a < 3:
-        raise SemigroupError(f"a must be >= 3, got {a}")
-    if a % 2 == 0:
-        raise EvenInput(f"a = {a} is even")
-    c = isqrt(a)
-    if c * c == a:
-        if c == 7:
-            root, branch = 38, "square-u5"
-        elif u_index_set_member(c, "d2_square_sqrt3"):
-            root, branch = a - floor_sqrt3(c), "square-sqrt3"
-        else:
-            root, branch = a - 2 * floor_half_sqrt2(c), "square-sqrt2"
-        return ClosedFormAnswer(a, 2, root * root, root, branch, (c - 1) // 2)
-    c = isqrt(a + 2)
-    if c * c == a + 2:
-        if u_index_set_member(c, "d2_adjacent"):
-            root, branch = a - floor_sqrt3(c), "adjacent-sqrt3"
-        else:
-            root, branch = a - 2 * floor_half_sqrt2(c), "adjacent-sqrt2"
-        return ClosedFormAnswer(a, 2, root * root, root, branch, (c - 1) // 2)
-    c = isqrt(a)
-    if c % 2 == 0:
-        c -= 1
-    return ClosedFormAnswer(a, 2, (a - c) ** 2, a - c, "nonsquare", (c - 1) // 2)
+    """Square Frobenius number of <a, a+2>, a odd; conjectured when a or a+2 is a square."""
+    return _sq_frob_small(a, 2)
 
 
 def square_frobenius_closed(a: int, d: int) -> ClosedFormAnswer:
     """The closed form for d = 1, 2 or any d with a golden table1.tsv row."""
-    if d == 1:
-        return sq_frob_d1(a)
-    if d == 2:
-        return sq_frob_d2(a)
-    return _sq_frob_ap(a, d)
+    return _sq_frob_small(a, d) if d in (1, 2) else _sq_frob_ap(a, d)

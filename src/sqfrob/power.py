@@ -52,8 +52,9 @@ def kth_root_floor(n: int, k: int) -> int:
 class PowerFrobResult(CanonicalJson):
     """A perfect k-power extremum of a semigroup, with provenance.
 
-    method is one of "oracle", "closed_form", "bound".  witness, when
-    present, is the data disproving membership of the reported power.
+    method is "oracle" or "closed_form".  (The CLI's bound answer also says
+    method "bound", but it is a plain dict, never a PowerFrobResult.)  witness,
+    when present, is the data disproving membership of the reported power.
     steps, when present, is the number of roots the oracle scanned; like the
     witness it stays out of the canonical JSON.
     """

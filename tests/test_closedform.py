@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd
 
 import pytest
@@ -224,3 +225,31 @@ def test_corrupt_table1_row_is_rejected(monkeypatch):
     monkeypatch.setattr(closedform, "_data_text", lambda name: text)
     with pytest.raises(ValueError, match="corrupt golden table1 row"):
         closedform.load_table1()
+
+
+def test_corrupt_table2_row_is_rejected(monkeypatch):
+    text = "d\ta\tsqfrob_root\tbound_root\n5\t13\t10\n"
+    monkeypatch.setattr(closedform, "_data_text", lambda name: text)
+    with pytest.raises(ValueError):
+        closedform.load_table2()
+
+
+def test_d1_d2_answers_are_pinned():
+    # every field of every d = 1, 2 answer (or its error) on all a up to 20000
+    # and on r^2 - d, r^2 for r near each of the first 60 u-numbers
+    us = [sq.u(n) for n in range(1, 61)]
+    lines = []
+    for d, fn in ((1, sq.sq_frob_d1), (2, sq.sq_frob_d2)):
+        roots = (set(range(1, 2001)) | set(us)
+                 | {c + e for c in us for e in (-2, -1, 1, 2) if c + e > 0})
+        cases = sorted(set(range(-2, 20001)) | {r * r + o for r in roots for o in (-d, 0)})
+        for a in cases:
+            try:
+                ans = fn(a)
+            except sq.SemigroupError as e:
+                lines.append(f"{d} {a} {type(e).__name__}: {e}")
+            else:
+                lines.append(f"{d} {a} {ans.value} {ans.root} {ans.branch} {ans.b}")
+    assert len(lines) == 48302
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1e0cba83c8962abf37ab5a487fcb3768079bd785f39eef539b6f89900b681e50"
