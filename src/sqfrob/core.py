@@ -130,10 +130,17 @@ class AperyTable:
 
 def _apery_entries(gens, m):
     # Shortest-path relaxation over residues mod m, for sorted distinct gens
-    # containing m.  Generators are folded in one at a time; per +g cycle, one
-    # relaxing lap starting from the cycle minimum is exact, so the whole
-    # table costs O(m * len(gens)).  Returns (kept generators, entries).
-    dist = [inf] * m
+    # containing m: the round-robin fold of Boecker & Liptak.  Generators are
+    # folded in one at a time.  Each +g cycle is the residue class head mod
+    # n_cycles; min() finds its least entry, whose value mod m is its residue
+    # (a finite entry is congruent to its own), and one relaxing lap from
+    # there is exact.  One Python lap per cycle, O(m * len(gens)) in all.
+    # Returns (kept generators, entries).
+    try:
+        dist = [inf] * m
+    except OverflowError:
+        # m past sys.maxsize: no list that long can exist, let alone fit
+        raise MemoryError(f"an Apery table of {m} entries") from None
     dist[0] = 0
     kept = []
     for g in gens:
@@ -148,15 +155,12 @@ def _apery_entries(gens, m):
         n_cycles = gcd(step, m)
         lap = m // n_cycles - 1
         for head in range(n_cycles):
-            r = head
-            best_r, best = r, dist[r]
-            for _ in range(lap):
-                r = (r + step) % m
-                if dist[r] < best:
-                    best, best_r = dist[r], r
-            if best == inf:
+            # one cycle is all of dist: no m-long copy, so the peak stays at
+            # the end, where dist and the entries tuple are both alive
+            cur = min(dist) if n_cycles == 1 else min(dist[head::n_cycles])
+            if cur == inf:
                 continue
-            cur, r = best, best_r
+            r = cur % m
             for _ in range(lap):
                 r = (r + step) % m
                 cur += g

@@ -412,6 +412,20 @@ def test_out_of_memory_is_exit_2():
     assert len(lines) == 1 and lines[0].startswith("error:") and "multiplicity" in lines[0]
 
 
+@pytest.mark.parametrize("extra", [
+    ("frobenius",), ("member", "--value", "5"), ("power-frob", "--k", "2"),
+    ("power-min", "--k", "2"),
+])
+def test_multiplicity_past_the_largest_list_is_out_of_memory(capsys, extra):
+    # 2**63 is past sys.maxsize on 64-bit builds, so no list that long can
+    # even be asked for; the answer is the out-of-memory exit, not a traceback
+    gens = f"{2**63},{2**63 + 1}"
+    code, out, err = run_cli(capsys, extra[0], "--gens", gens, *extra[1:])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "multiplicity" in lines[0]
+
+
 def test_out_of_memory_in_lambda_profile_names_d(capsys, monkeypatch):
     def exhausted(a, d):
         raise MemoryError

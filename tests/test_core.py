@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -194,6 +195,49 @@ def gen_lists(draw):
     if g != 1:
         gens.append(draw(st.sampled_from([v for v in range(2, 40) if gcd(v, g) == 1])))
     return gens
+
+
+@st.composite
+def shared_factor_lists(draw):
+    # m and the next generator share a factor, so every +g cycle of that fold
+    # but the one through 0 is still all-inf when it is reached (e.g. [6, 9, 10, 15])
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = p * draw(st.integers(2, 8))
+    step = p * draw(st.integers(1, 8))
+    rest = draw(st.lists(st.integers(m + 1, 5 * m), max_size=3))
+    gens = [m, m + step] + rest
+    g = gcd(m, m + step)
+    for v in rest:
+        g = gcd(g, v)
+    if g != 1:
+        gens.append(draw(st.sampled_from([v for v in range(m + 1, 6 * m) if gcd(v, g) == 1])))
+    return gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(gen_lists(), shared_factor_lists()))
+def test_whole_apery_tables_match_naive(gens):
+    S = sq.make_semigroup(gens)
+    if S.is_full:
+        return
+    for g in S.generators:
+        assert sq.apery_set(S, g).entries == tuple(naive.apery(S.generators, g)), (gens, g)
+
+
+def test_apery_build_holds_no_extra_table_sized_list():
+    # The working list, the returned tuple and the entries' int objects peak
+    # near 52 bytes per residue.  An m-long list that outlives its use (say a
+    # cycle's min() slice kept bound through the relaxing lap) also keeps the
+    # ints the lap replaces alive, and the peak climbs to about 78
+    m = 200_003
+    gens = [m, m + 1, 3 * m // 2 + 1]
+    tracemalloc.start()
+    try:
+        core._apery_entries(gens, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * m, peak / m
 
 
 @settings(max_examples=60, deadline=None)
