@@ -10,20 +10,14 @@ mismatches, 2 invalid input or an input too large for available memory.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import reprlib
 import sys
 from math import gcd, isqrt
 
-from .arith import ApSemigroup, _bound_parts, ap_contains
-from .closedform import square_frobenius_closed
+# Every command prints through core; each handler imports the rest of what it
+# runs, so that a command loads only its own modules (verify, and with it
+# multiprocessing, only for the sweeps).
 from .core import (NumericalSemigroup, SemigroupError, _canonical_json,
                    _checked_generators, contains, frobenius)
-from .power import PowerFrobResult, power_frobenius_oracle, power_min_oracle
-from .verify import (compare_table1, exception_set, reproduce_table2,
-                     verify_conjectures, verify_min_power_theorem,
-                     verify_theorem_bound)
 
 
 def _int_arg(text):
@@ -36,6 +30,7 @@ def _int_arg(text):
     if digits.isdecimal() and 0 < limit < len(digits):
         raise argparse.ArgumentTypeError(f"integer of {len(digits)} digits exceeds Python's "
                                          f"int string conversion limit of {limit} digits")
+    import reprlib
     raise argparse.ArgumentTypeError(f"expected an integer, got {reprlib.repr(text)}")
 
 
@@ -51,6 +46,8 @@ def _csv_cell(v):
 
 
 def _emit_csv(obj):
+    import csv
+    import io
     buf = io.StringIO()
     w = csv.writer(buf)
     if isinstance(obj, dict):
@@ -95,6 +92,9 @@ def _closed_form_result(gens, k):
     # Decides <gens> = <a, a+d> without an Apery table: a is the least
     # generator, a+d the least one a does not divide, and every generator
     # must be in <a, a+d>.  square_frobenius_closed owns the covered d.
+    from .arith import ApSemigroup, ap_contains
+    from .closedform import square_frobenius_closed
+    from .power import PowerFrobResult
     gens = _checked_generators(gens)
     if k != 2:
         raise SemigroupError("closed forms cover squares only (need --k 2)")
@@ -111,14 +111,17 @@ def _closed_form_result(gens, k):
 def _cmd_power_frob(args):
     if args.method == "closed":
         return _closed_form_result(args.gens, args.k)
+    from .power import power_frobenius_oracle
     return power_frobenius_oracle(NumericalSemigroup(args.gens), args.k)
 
 
 def _cmd_power_min(args):
+    from .power import power_min_oracle
     return power_min_oracle(NumericalSemigroup(args.gens), args.k)
 
 
 def _cmd_bound(args):
+    from .arith import ApSemigroup, _bound_parts
     prof, cell, edge = _bound_parts(ApSemigroup(args.a, args.d, args.k))
     value = (args.a - edge) ** 2
     payload = {"a": args.a, "d": args.d, "k": args.k,
@@ -130,20 +133,28 @@ def _cmd_bound(args):
 
 
 def _cmd_exceptions(args):
+    from .verify import exception_set
     return exception_set(args.d, jobs=args.jobs)
 
 
 def _cmd_tables(args):
+    from .verify import compare_table1, reproduce_table2
     return compare_table1(jobs=args.jobs) if args.which == 1 else reproduce_table2()
 
 
+# each target's sweep, called with the verify module as v
 _VERIFY_TARGETS = {
-    "conj1": lambda args: verify_conjectures(1, args.max, jobs=args.jobs),
-    "conj2": lambda args: verify_conjectures(2, args.max, jobs=args.jobs),
-    "theorem-ap": lambda args: verify_theorem_bound(args.d, args.k, 2, args.max,
-                                                    jobs=args.jobs),
-    "min-power": lambda args: verify_min_power_theorem(2, args.max, jobs=args.jobs),
+    "conj1": lambda v, args: v.verify_conjectures(1, args.max, jobs=args.jobs),
+    "conj2": lambda v, args: v.verify_conjectures(2, args.max, jobs=args.jobs),
+    "theorem-ap": lambda v, args: v.verify_theorem_bound(args.d, args.k, 2, args.max,
+                                                         jobs=args.jobs),
+    "min-power": lambda v, args: v.verify_min_power_theorem(2, args.max, jobs=args.jobs),
 }
+
+
+def _cmd_verify(args):
+    from . import verify
+    return _VERIFY_TARGETS[args.target](verify, args)
 
 
 def _parser():
@@ -206,7 +217,7 @@ def _parser():
     sp.add_argument("--d", type=_int_arg, default=3, help="for theorem-ap (default 3)")
     sp.add_argument("--k", type=_int_arg, default=2, help="for theorem-ap (default 2)")
     sp.add_argument("--jobs", type=_int_arg, default=None)
-    sp.set_defaults(handler=lambda args: _VERIFY_TARGETS[args.target](args))
+    sp.set_defaults(handler=_cmd_verify)
 
     return p
 

@@ -7,22 +7,25 @@ the square Frobenius number outside the exception set table1.tsv lists.  The
 branch label and b come from the alpha-grid cell the bound brackets.
 
 For d = 1, 2 one branch rule covers both: when a ("square") or a+d
-("adjacent") is a perfect square c^2, the root is a - floor(c*sqrt(3)) if c
-is a u-number of that case's index family, else a - d*(floor(c*sqrt(2)) // d);
-one small u-number in two of the four cases has a fixed root instead.  Every other a is exact: its root is a - c
-for the largest c <= sqrt(a) congruent to a mod d.  The square and adjacent
-branches are conjectured.  No closed form calls the oracle: the true value
-is power_frobenius_oracle(ApSemigroup(a, d, 1), 2), which the verify sweeps
-compare these formulas against.
+("adjacent") is a perfect square c^2, the root is a - s if c is a u-number
+of that case's index family, s the largest integer <= c*sqrt(3) congruent to
+1 mod d, else a - d*(floor(c*sqrt(2)) // d); one small u-number in two of the
+four cases has a fixed root instead.  For d = 2, s is floor(c*sqrt(3)) made
+odd, which departs from floor(c*sqrt(3)) as transcribed: the oracle's root is
+one larger whenever floor(c*sqrt(3)) is even, first at c = 1393.  Every other
+a is exact: its root is a - c for the largest c <= sqrt(a) congruent to a
+mod d.  The square and adjacent branches are conjectured.  No closed form
+calls the oracle: the true value is power_frobenius_oracle(ApSemigroup(a, d,
+1), 2), which the verify sweeps compare these formulas against.
 
 This module is the one parser of the golden tables table1.tsv and table2.tsv.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 from math import gcd, isqrt
 
 from .arith import ApSemigroup, _bound_parts
@@ -34,7 +37,10 @@ from .power import power_frobenius_oracle  # noqa: F401
 
 @cache
 def _data_text(name):
-    return resources.files("sqfrob").joinpath(f"data/{name}").read_text(encoding="ascii")
+    # a plain file next to this module (pyproject.toml package-data ships it),
+    # so a zip import cannot read it
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="ascii") as fh:
+        return fh.read()
 
 
 def _rows(name):
@@ -208,7 +214,10 @@ def _sq_frob_small(a, d):
             if off and off[0] == c:
                 _, root, branch = off
             elif u_index_set_member(c, f"d{d}_{kind}"):
-                root, branch = a - floor_sqrt3(c), f"{kind}-sqrt3"
+                # the largest s <= c*sqrt(3) with s = 1 mod d: for d = 2 an
+                # even floor(c*sqrt(3)) is one too large (c = 1393 on)
+                s = floor_sqrt3(c)
+                root, branch = a - s + (s - 1) % d, f"{kind}-sqrt3"
             else:
                 root, branch = a - floor_sqrt2(c) // d * d, f"{kind}-sqrt2"
             break

@@ -13,7 +13,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from multiprocessing import Pool
 
 from .arith import ApSemigroup, DTooSmall, bound_B, lambda_profile
 from .closedform import load_table1, load_table2, sq_frob_d1, sq_frob_d2
@@ -32,6 +31,12 @@ def _chunks(work, size):
     n = (work[-1] - work[0]) // work.step + 1 if work else 0
     size = max(size, -(-n // MAX_CHUNKS))
     return [work[i:i + size] for i in range(0, n, size)]
+
+
+def Pool(processes):
+    """A multiprocessing Pool; multiprocessing is imported on the first sweep that needs one."""
+    from multiprocessing import Pool as pool_cls
+    return pool_cls(processes=processes)
 
 
 def _run(fn, argsets, jobs):

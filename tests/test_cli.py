@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sqfrob import arith, cli, core
+from sqfrob import arith, cli, closedform, core, power, verify
 
 
 def run_cli(capsys, *argv):
@@ -481,13 +481,25 @@ def test_failing_sweep_exits_1(capsys, monkeypatch):
         return SweepReport(scope="stub", span=(2, max_a), checked=1,
                            mismatches=[{"a": 2}])
 
-    monkeypatch.setattr(cli, "verify_conjectures", failing)
+    monkeypatch.setattr(verify, "verify_conjectures", failing)
     code, out, _ = run_cli(capsys, "verify", "--target", "conj1", "--max", "10")
     assert code == 1 and json.loads(out)["passed"] is False
     code, _, _ = run_cli(capsys, "verify", "--target", "conj2", "--max", "10")
     assert code == 1
     code, _, _ = run_cli(capsys, "verify", "--target", "min-power", "--max", "10")
     assert code == 0
+
+
+@pytest.mark.parametrize("a, root", [
+    (1940449, 1938038), (11309767, 11303944), (65918161, 65904100),
+])
+def test_d2_sqrt3_branch_with_even_floor_matches_the_oracle(capsys, a, root):
+    # floor(c*sqrt(3)) is even at c = 1393 (a = c^2), 3363 (a = c^2 - 2) and
+    # 8119; the CLI's oracle route would build an Apery table of a entries
+    _, out, _ = run_cli(capsys, "power-frob", "--gens", f"{a},{a + 2}", "--k", "2",
+                        "--method", "closed")
+    assert json.loads(out)["root"] == root
+    assert power.power_frobenius_oracle(arith.ApSemigroup(a, 2, 1), 2).root == root
 
 
 @pytest.mark.parametrize("argv, needles", [
@@ -525,4 +537,4 @@ def test_closed_form_covers_every_table1_d(capsys):
     _, oracle, _ = run_cli(capsys, "power-frob", "--gens", "7,13", "--k", "2")
     assert json.loads(oracle)["value"] == 64
     with pytest.raises(core.SemigroupError, match="d = 13"):
-        cli.square_frobenius_closed(7, 13)
+        closedform.square_frobenius_closed(7, 13)

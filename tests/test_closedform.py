@@ -156,6 +156,23 @@ def test_d1_d2_match_oracle_including_nonsquare_branch():
         assert sq.sq_frob_d2(a).value == oracle(a, 2), a
 
 
+def test_every_u_number_up_to_3e5_matches_the_oracle():
+    # a = c^2 - d and c^2 for every u-number c: the four sqrt3 rows of the
+    # d = 1, 2 rule where c is in the row's family, the sqrt2 rows elsewhere
+    seen = set()
+    n = 1
+    while sq.u(n) <= 3 * 10 ** 5:
+        c = sq.u(n)
+        for d in (1, 2):
+            for a in (c * c - d, c * c):
+                if a > d and gcd(a, d) == 1:
+                    ans = sq.square_frobenius_closed(a, d)
+                    assert ans.value == oracle(a, d), (d, a, ans.branch)
+                    seen.add((d, ans.branch))
+        n += 1
+    assert {(d, f"{kind}-sqrt3") for d in (1, 2) for kind in ("square", "adjacent")} <= seen
+
+
 def test_closed_forms_never_call_the_oracle(monkeypatch):
     cases = ([(a, 1) for a, _ in D1_BRANCHES] + [(a, 2) for a, _ in D2_BRANCHES]
              + [(a, d) for d, a, _, _ in sq.load_table2() if d <= 5]
@@ -252,4 +269,4 @@ def test_d1_d2_answers_are_pinned():
                 lines.append(f"{d} {a} {ans.value} {ans.root} {ans.branch} {ans.b}")
     assert len(lines) == 48302
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "1e0cba83c8962abf37ab5a487fcb3768079bd785f39eef539b6f89900b681e50"
+    assert digest == "3aa33fd42ea4aac26871d9da0cab590d76d28dab7c4c848eeb03b79a85d8bad1"
