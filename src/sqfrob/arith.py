@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -24,25 +24,37 @@ class DTooSmall(SemigroupError):
     """The operation needs common difference d >= 3."""
 
 
-@dataclass(frozen=True)
-class ApSemigroup(CanonicalJson):
-    """<a, a+d, a+2d, ..., a+kd> with a >= 2 and gcd(a, d) = 1."""
+class ApSemigroup(namedtuple("ApSemigroup", "a d k"), CanonicalJson):
+    """<a, a+d, a+2d, ..., a+kd> with a >= 2 and gcd(a, d) = 1.
 
-    a: int
-    d: int
-    k: int
+    A named tuple rather than a dataclass (dataclasses imports inspect, which
+    every command would pay for), so equality is tuple equality.
+    """
 
-    def __post_init__(self):
-        if self.a < 2:
-            raise SemigroupError(f"first term must be >= 2, got {self.a}")
-        if self.d < 1:
-            raise SemigroupError(f"common difference must be >= 1, got {self.d}")
-        if self.k < 1:
-            raise SemigroupError(f"progression length parameter must be >= 1, got {self.k}")
-        if gcd(self.a, self.d) != 1:
-            raise NonCoprime(f"gcd({self.a}, {self.d}) != 1")
+    def __new__(cls, a, d, k):
+        if a < 2:
+            raise SemigroupError(f"first term must be >= 2, got {a}")
+        if d < 1:
+            raise SemigroupError(f"common difference must be >= 1, got {d}")
+        if k < 1:
+            raise SemigroupError(f"progression length parameter must be >= 1, got {k}")
+        if gcd(a, d) != 1:
+            raise NonCoprime(f"gcd({a}, {d}) != 1")
+        self = super().__new__(cls, a, d, k)
         # inverse of d mod a, fixed once: membership queries reuse it
-        object.__setattr__(self, "_dinv", pow(self.d, -1, self.a))
+        object.__setattr__(self, "_dinv", pow(d, -1, a))
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check the new fields, set a new _dinv
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: ApSemigroup is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: ApSemigroup is immutable")
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -74,12 +86,16 @@ def ap_contains(S: ApSemigroup, value: int) -> bool:
 
 def ap_frobenius(S: ApSemigroup) -> int:
     """Largest integer outside S, in closed form."""
-    a, d, k = S.a, S.d, S.k
+    return _roberts(S.a, S.d, S.k)
+
+
+def _roberts(a, d, k):
+    # Roberts' formula (Proc. AMS 7, 1956) on plain ints
     return ((a - 2) // k + 1) * a + (d - 1) * (a - 1) - 1
 
 
-@dataclass(frozen=True)
-class LambdaProfile(CanonicalJson):
+class LambdaProfile(namedtuple("LambdaProfile", "d inv lambda_star alphas alpha_next"),
+                    CanonicalJson):
     """Corrections lambda_i in [0, d) with lambda_i * a + i^2 divisible by d.
 
     lambda_i = (-inv * i^2) mod d, where inv is the inverse of a mod d, so a
@@ -90,11 +106,7 @@ class LambdaProfile(CanonicalJson):
     grid cyclically.
     """
 
-    d: int
-    inv: int
-    lambda_star: int
-    alphas: tuple[int, ...]
-    alpha_next: int
+    __slots__ = ()
 
     @property
     def lambdas(self) -> tuple[int, ...]:
@@ -134,8 +146,7 @@ def _residue_profile(r, d):
             star, alphas = lam, [i]
         elif lam == star:
             alphas.append(i)
-    return LambdaProfile(d=d, inv=inv, lambda_star=star,
-                         alphas=tuple(alphas), alpha_next=d + alphas[0])
+    return LambdaProfile(d, inv, star, tuple(alphas), d + alphas[0])
 
 
 def square_in_ap(S: ApSemigroup, i: int) -> bool:
@@ -150,8 +161,7 @@ def square_in_ap(S: ApSemigroup, i: int) -> bool:
     return (i + k * d) ** 2 <= ((q + k) * d - lam) * (a + k * d)
 
 
-@dataclass(frozen=True)
-class MuJ:
+class MuJ(namedtuple("MuJ", "mu j target")):
     """Grid cell with grid(mu, j) <= isqrt(target) < grid(mu, j+1).
 
     grid(mu, j) = mu*d + alphas[j-1] (j is 1-based): mu, r = divmod(isqrt(target), d)
@@ -159,26 +169,33 @@ class MuJ:
     can be -1 for small first terms.
     """
 
-    mu: int
-    j: int
-    target: int
+    __slots__ = ()
 
 
 def mu_j(S: ApSemigroup) -> MuJ:
     """Locate the alpha-grid cell bracketing sqrt((kd - lambda_star)(a + kd))."""
-    return _bound_parts(S)[1]
+    return MuJ(*_bound_parts(S)[1:4])
 
 
 def _bound_parts(S):
-    # (profile, cell, edge) with lambda_profile taken once; the closed forms
-    # read their branch from the same cell
-    if S.d < 3:
-        raise DTooSmall(f"the square bound needs d >= 3, got {S.d}")
-    d = S.d
-    prof = lambda_profile(S.a, d)
+    # (profile, mu, j, target, edge) of a checked S, its profile taken once
+    # through the public lambda_profile
+    prof = lambda_profile(S.a, S.d)
+    return (prof, *_cell(S.a, S.d, S.k, prof))
+
+
+def _cell(a, d, k, prof):
+    """(mu, j, target, edge) of the bound B(a, d, k), on plain ints.
+
+    prof is the lambda profile of (a, d); nothing else is checked, so the
+    sweeps, which check their own inputs, build no object per first term.
+    The closed forms read their branch from the same cell.
+    """
+    if d < 3:
+        raise DTooSmall(f"the square bound needs d >= 3, got {d}")
     alphas = prof.alphas
     n = len(alphas)
-    target = (S.k * d - prof.lambda_star) * (S.a + S.k * d)
+    target = (k * d - prof.lambda_star) * (a + k * d)
     # the largest grid point <= isqrt(target) is the largest one whose square
     # is <= target, and every non-positive grid point lies below it too
     mu, r = divmod(isqrt(target), d)
@@ -186,12 +203,12 @@ def _bound_parts(S):
     if j == 0:
         mu, j = mu - 1, n
     alpha_next = alphas[j] if j < n else prof.alpha_next
-    return prof, MuJ(mu=mu, j=j, target=target), (mu - S.k) * d + alpha_next
+    return mu, j, target, (mu - k) * d + alpha_next
 
 
 def bound_edge(S: ApSemigroup) -> int:
     """The index (mu - k)*d + alpha_{j+1} entering the square upper bound."""
-    return _bound_parts(S)[2]
+    return _bound_parts(S)[4]
 
 
 def bound_B(S: ApSemigroup) -> int:

@@ -122,13 +122,13 @@ def _cmd_power_min(args):
 
 def _cmd_bound(args):
     from .arith import ApSemigroup, _bound_parts
-    prof, cell, edge = _bound_parts(ApSemigroup(args.a, args.d, args.k))
+    prof, mu, j, target, edge = _bound_parts(ApSemigroup(args.a, args.d, args.k))
     value = (args.a - edge) ** 2
     payload = {"a": args.a, "d": args.d, "k": args.k,
                "root": isqrt(value), "value": value, "method": "bound"}
     if args.dump_profile:
-        payload["profile"] = {**prof.to_dict(), "mu": cell.mu, "j": cell.j,
-                              "target": cell.target, "edge": edge}
+        payload["profile"] = {**prof.to_dict(), "mu": mu, "j": j,
+                              "target": target, "edge": edge}
     return payload
 
 

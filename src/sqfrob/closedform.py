@@ -24,7 +24,7 @@ This module is the one parser of the golden tables table1.tsv and table2.tsv.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from math import gcd, isqrt
 
@@ -137,20 +137,15 @@ def floor_half_sqrt2(c: int) -> int:
     return isqrt(2 * c * c) // 2
 
 
-@dataclass(frozen=True)
-class ClosedFormAnswer(CanonicalJson):
+class ClosedFormAnswer(namedtuple("ClosedFormAnswer", "a d value root branch b",
+                                  defaults=(None,)), CanonicalJson):
     """Square Frobenius number of <a, a+d> with the branch that produced it.
 
     value == root ** 2 always; b records the bracketing integer the branch
-    used, when there was one.
+    used, when there was one.  A named tuple, so equality is tuple equality.
     """
 
-    a: int
-    d: int
-    value: int
-    root: int
-    branch: str
-    b: int | None = None
+    __slots__ = ()
 
     def to_dict(self):
         return {"a": self.a, "d": self.d, "value": self.value,
@@ -167,12 +162,12 @@ def _sq_frob_ap(a, d):
     root = roots.get((d, a))
     if root is not None:
         return ClosedFormAnswer(a, d, root * root, root, "exception")
-    prof, cell, edge = _bound_parts(ApSemigroup(a, d, 1))
+    prof, mu, j, _, edge = _bound_parts(ApSemigroup(a, d, 1))
     # the branch names the residue r of the grid point mu*d + r bracketing the target
-    r = prof.alphas[cell.j - 1]
+    r = prof.alphas[j - 1]
     branch = f"{d}b-{r}" if 2 * r < d else f"{d}b+{d - r}"
     root = a - edge
-    return ClosedFormAnswer(a, d, root * root, root, branch, cell.mu)
+    return ClosedFormAnswer(a, d, root * root, root, branch, mu)
 
 
 def sq_frob_d3(a: int) -> ClosedFormAnswer:

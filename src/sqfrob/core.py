@@ -49,6 +49,9 @@ def _canonical_json(obj) -> str:
 class CanonicalJson:
     """Mixin for result objects: to_json() is the canonical form of to_dict()."""
 
+    # no __dict__ of its own, so a named tuple that mixes it in stays slotted
+    __slots__ = ()
+
     def to_json(self) -> str:
         return _canonical_json(self.to_dict())
 

@@ -15,9 +15,9 @@ steps, outside the canonical JSON.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .arith import ApSemigroup, ap_contains, ap_frobenius, decompose
+from .arith import ApSemigroup, _roberts, ap_contains, decompose
 from .core import CanonicalJson, NegativeInput, apery_set, contains, frobenius
 
 
@@ -48,23 +48,19 @@ def kth_root_floor(n: int, k: int) -> int:
     return lo
 
 
-@dataclass(frozen=True)
-class PowerFrobResult(CanonicalJson):
+class PowerFrobResult(namedtuple("PowerFrobResult", "k root value method witness steps",
+                                 defaults=(None, None)), CanonicalJson):
     """A perfect k-power extremum of a semigroup, with provenance.
 
     method is "oracle" or "closed_form".  (The CLI's bound answer also says
     method "bound", but it is a plain dict, never a PowerFrobResult.)  witness,
     when present, is the data disproving membership of the reported power.
     steps, when present, is the number of roots the oracle scanned; like the
-    witness it stays out of the canonical JSON.
+    witness it stays out of the canonical JSON.  A named tuple, so equality
+    is tuple equality.
     """
 
-    k: int
-    root: int
-    value: int
-    method: str
-    witness: dict | None = None
-    steps: int | None = None
+    __slots__ = ()
 
     def to_dict(self):
         return {"k": self.k, "root": self.root, "value": self.value, "method": self.method}
@@ -80,37 +76,45 @@ def power_frobenius_oracle(S, k: int) -> PowerFrobResult:
     if k < 2:
         raise ValueError(f"power must be >= 2, got {k}")
     if isinstance(S, ApSemigroup):
-        # v = a*x + d*y with 0 <= y < a is outside S iff x < 0 or y > kk*x,
-        # which for kk >= 1 is the single test (a + kk*d)*y > kk*v
-        a, d, kk, dinv = S.a, S.d, S.k, S._dinv
-        c = a + kk * d
-        top = kth_root_floor(ap_frobenius(S), k)
-        if k == 2:
-            for m in range(top, 0, -1):
-                v = m * m
-                if c * (v * dinv % a) > kk * v:
-                    return _ap_hit(S, k, m, v, top)
-        else:
-            for m in range(top, 0, -1):
-                v = m ** k
-                if c * (v * dinv % a) > kk * v:
-                    return _ap_hit(S, k, m, v, top)
-    else:
-        top = kth_root_floor(frobenius(S), k)
-        table = apery_set(S)
-        entries, mod = table.entries, table.modulus
-        for m in range(top, 0, -1):
-            v = m * m if k == 2 else m ** k
-            if v < entries[v % mod]:
-                witness = {"residue": v % mod, "apery_entry": entries[v % mod]}
-                return PowerFrobResult(k, m, v, "oracle", witness=witness, steps=top - m + 1)
+        m, top = _ap_scan(S.a, S.d, S.k, k)
+        # the witness is the decomposition of m**k, rebuilt once the scan has stopped
+        v = m ** k
+        x, y = decompose(S, v)
+        return PowerFrobResult(k, m, v, "oracle", witness={"x": x, "y": y}, steps=top - m + 1)
+    top = kth_root_floor(frobenius(S), k)
+    table = apery_set(S)
+    entries, mod = table.entries, table.modulus
+    for m in range(top, 0, -1):
+        v = m * m if k == 2 else m ** k
+        if v < entries[v % mod]:
+            witness = {"residue": v % mod, "apery_entry": entries[v % mod]}
+            return PowerFrobResult(k, m, v, "oracle", witness=witness, steps=top - m + 1)
     raise AssertionError("scan fell through: the semigroup contains 1")
 
 
-def _ap_hit(S, k, m, v, top):
-    # the witness is the decomposition of v, rebuilt once the scan has stopped
-    x, y = decompose(S, v)
-    return PowerFrobResult(k, m, v, "oracle", witness={"x": x, "y": y}, steps=top - m + 1)
+def _ap_scan(a, d, kk, k):
+    """(m, top): the largest root m with m**k outside <a, a+d, ..., a+kk*d>, on plain ints.
+
+    top is the root the scan starts from, so it scanned top - m + 1 roots.
+    a, d and kk must be those of an ApSemigroup; the sweeps call this
+    directly, so that they build no object per first term.
+    """
+    # v = a*x + d*y with 0 <= y < a is outside S iff x < 0 or y > kk*x,
+    # which for kk >= 1 is the single test (a + kk*d)*y > kk*v
+    dinv = pow(d, -1, a)
+    c = a + kk * d
+    top = kth_root_floor(_roberts(a, d, kk), k)
+    if k == 2:
+        for m in range(top, 0, -1):
+            v = m * m
+            if c * (v * dinv % a) > kk * v:
+                return m, top
+    else:
+        for m in range(top, 0, -1):
+            v = m ** k
+            if c * (v * dinv % a) > kk * v:
+                return m, top
+    raise AssertionError("scan fell through: the semigroup contains 1")
 
 
 def power_min_oracle(S, k: int) -> PowerFrobResult:

@@ -4,7 +4,8 @@ Every sweep compares a closed form or bound against the brute-force oracle
 and reports mismatches; an empty mismatch list means the sweep passed.
 Each sweep cuts its work into fixed chunks and runs them through at most one
 process pool; results are merged in input order, so the output is identical
-for any worker count.
+for any worker count.  Each report counts the oracle roots its sweep scanned
+in steps, outside the canonical JSON.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ import time
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from .arith import ApSemigroup, DTooSmall, bound_B, lambda_profile
+from .arith import ApSemigroup, DTooSmall, _cell, _residue_profile, lambda_profile
+# Not called here.  perfbench/tracing.py patches verify.bound_B by name, so
+# removing this import makes every traced benchmark run fail.
+from .arith import bound_B  # noqa: F401
 from .closedform import load_table1, load_table2, sq_frob_d1, sq_frob_d2
 from .core import CanonicalJson
-from .power import power_frobenius_oracle, power_min_oracle
+from .power import _ap_scan, power_frobenius_oracle, power_min_oracle
 
 DEFAULT_CHUNK = 4096
 MAX_CHUNKS = 4096
@@ -59,11 +63,15 @@ class ExceptionRecord:
 
 @dataclass(frozen=True)
 class ExceptionReport(CanonicalJson):
-    """Exceptional first terms a where the square oracle misses bound_B."""
+    """Exceptional first terms a where the square oracle misses bound_B.
+
+    steps, the oracle roots scanned, stays out of the canonical JSON.
+    """
 
     d: int
     scan_range: tuple[int, int]
     members: tuple[ExceptionRecord, ...]
+    steps: int = 0
 
     def member_values(self) -> list[int]:
         return [rec.a for rec in self.members]
@@ -81,9 +89,9 @@ class ExceptionReport(CanonicalJson):
 class SweepReport(CanonicalJson):
     """Outcome of one verification sweep; empty mismatches means it passed.
 
-    wall_time is informational only and stays out of the canonical JSON so
-    equal sweeps serialize to identical bytes.  The span renders under the
-    JSON key "range".
+    wall_time and steps, the oracle roots scanned, are informational only
+    and stay out of the canonical JSON so equal sweeps serialize to identical
+    bytes.  The span renders under the JSON key "range".
     """
 
     scope: str
@@ -92,6 +100,7 @@ class SweepReport(CanonicalJson):
     mismatches: list = field(default_factory=list)
     wall_time: float = 0.0
     extra: dict = field(default_factory=dict)
+    steps: int = 0
 
     @property
     def passed(self) -> bool:
@@ -111,12 +120,12 @@ class SweepReport(CanonicalJson):
 
     @classmethod
     def from_parts(cls, scope, span, parts, t0, mismatches=None, extra=None):
-        """Merge chunk results (checked, mismatches, ...) in input order."""
+        """Merge chunk results (checked, mismatches, ..., steps) in input order."""
         if mismatches is None:
             mismatches = [m for p in parts for m in p[1]]
         return cls(scope=scope, span=span, checked=sum(p[0] for p in parts),
                    mismatches=mismatches, wall_time=time.perf_counter() - t0,
-                   extra=extra or {})
+                   extra=extra or {}, steps=sum(p[-1] for p in parts))
 
     def to_text(self) -> str:
         lines = [
@@ -134,22 +143,31 @@ class SweepReport(CanonicalJson):
 
 
 def _oracle_and_bound(a, d, k):
-    """(square oracle value, bound_B) of <a, a+d, ..., a+kd>, on one ApSemigroup."""
-    s = ApSemigroup(a, d, k)
-    return power_frobenius_oracle(s, 2).value, bound_B(s)
+    """(square oracle value, bound_B, oracle steps) of <a, a+d, ..., a+kd>.
+
+    The oracle's own scan and the bound's own cell, on plain ints: no object
+    is built per first term.  Inputs the ApSemigroup constructor rejects
+    raise its error.
+    """
+    if a < 2 or d < 1 or k < 1 or gcd(a, d) != 1:
+        ApSemigroup(a, d, k)  # raises
+    m, top = _ap_scan(a, d, k, 2)
+    edge = _cell(a, d, k, _residue_profile(a % d, d))[3]
+    return m * m, (a - edge) ** 2, top - m + 1
 
 
 def _equality_chunk(d, firsts):
-    checked = 0
+    checked = steps = 0
     out = []
     for a in firsts:
         if gcd(a, d) != 1:
             continue
-        got, bb = _oracle_and_bound(a, d, 1)
+        got, bb, n = _oracle_and_bound(a, d, 1)
         checked += 1
+        steps += n
         if got != bb:
             out.append({"a": a, "oracle": got, "bound": bb})
-    return checked, out
+    return checked, out, steps
 
 
 def _equality_argsets(d, lo=2, hi=None):
@@ -166,7 +184,8 @@ def exception_set(d: int, jobs=None) -> ExceptionReport:
     parts = _run(_equality_chunk, argsets, jobs)
     span = (argsets[0][1][0], argsets[-1][1][-1])  # first and last a scanned
     return ExceptionReport(d=d, scan_range=span, members=tuple(
-        ExceptionRecord(m["a"], m["oracle"], m["bound"]) for p in parts for m in p[1]))
+        ExceptionRecord(m["a"], m["oracle"], m["bound"]) for p in parts for m in p[1]),
+        steps=sum(p[2] for p in parts))
 
 
 def compare_table1(jobs=None) -> SweepReport:
@@ -176,7 +195,7 @@ def compare_table1(jobs=None) -> SweepReport:
     argsets = [args for d in sorted(golden) for args in _equality_argsets(d)]
     parts = _run(_equality_chunk, argsets, jobs)
     got = {d: [] for d in golden}
-    for (d, _), (_, found) in zip(argsets, parts):
+    for (d, _), (_, found, _) in zip(argsets, parts):
         got[d] += [m["a"] for m in found]
     return SweepReport.from_parts(
         "exception sets vs golden table", f"d={min(golden)}..{max(golden)}", parts, t0,
@@ -188,15 +207,17 @@ def reproduce_table2() -> SweepReport:
     """Recompute oracle and bound roots for every golden exceptional row."""
     t0 = time.perf_counter()
     mismatches = []
+    steps = 0
     rows = load_table2()
     for d, a, sq_root, b_root in rows:
-        got_sq, got_b = _oracle_and_bound(a, d, 1)
+        got_sq, got_b, n = _oracle_and_bound(a, d, 1)
+        steps += n
         if got_sq != sq_root ** 2 or got_b != b_root ** 2:
             mismatches.append({"d": d, "a": a,
                                "expected_sqfrob": sq_root ** 2, "got_sqfrob": got_sq,
                                "expected_bound": b_root ** 2, "got_bound": got_b})
     return SweepReport.from_parts("exceptional values vs golden table", f"{len(rows)} rows",
-                                  [(len(rows), mismatches)], t0)
+                                  [(len(rows), mismatches, steps)], t0)
 
 
 def verify_bound_equality(d, a_lo, a_hi, jobs=None) -> SweepReport:
@@ -207,7 +228,7 @@ def verify_bound_equality(d, a_lo, a_hi, jobs=None) -> SweepReport:
 
 
 def _bound_upper_chunk(d, k, firsts):
-    strong_checked = weak_checked = 0
+    strong_checked = weak_checked = steps = 0
     strong_viol, weak_viol = [], []
     strong_floor = 4 * k * d ** 3 - k * d
     for a in firsts:
@@ -218,7 +239,8 @@ def _bound_upper_chunk(d, k, firsts):
         weak = a + k * d > (4 * (k * d - prof.lambda_star) + 1) * d * d
         if not (strong or weak):
             continue
-        got, bb = _oracle_and_bound(a, d, k)
+        got, bb, n = _oracle_and_bound(a, d, k)
+        steps += n
         viol = [] if got <= bb else [{"a": a, "oracle": got, "bound": bb}]
         if strong:
             strong_checked += 1
@@ -226,7 +248,7 @@ def _bound_upper_chunk(d, k, firsts):
         if weak:
             weak_checked += 1
             weak_viol += viol
-    return strong_checked, strong_viol, weak_checked, weak_viol
+    return strong_checked, strong_viol, weak_checked, weak_viol, steps
 
 
 def verify_theorem_bound(d, k, a_lo, a_hi, jobs=None) -> SweepReport:
@@ -251,7 +273,7 @@ def _conjecture_chunk(which, max_a, roots):
     # d=1 targets are b^2-1 and b^2, d=2 targets c^2-2 and c^2: ascending,
     # distinct, and past max_a only at the last root
     fn = sq_frob_d1 if which == 1 else sq_frob_d2
-    checked = 0
+    checked = steps = 0
     out = []
     for r in roots:
         for a in (r * r - which, r * r):
@@ -260,10 +282,11 @@ def _conjecture_chunk(which, max_a, roots):
             predicted = fn(a)
             truth = power_frobenius_oracle(ApSemigroup(a, which, 1), 2)
             checked += 1
+            steps += truth.steps
             if predicted.value != truth.value:
                 out.append({"a": a, "predicted": predicted.value,
                             "branch": predicted.branch, "oracle": truth.value})
-    return checked, out
+    return checked, out, steps
 
 
 def verify_conjectures(which, max_a, jobs=None) -> SweepReport:
@@ -280,18 +303,20 @@ def verify_conjectures(which, max_a, jobs=None) -> SweepReport:
 
 
 def _min_power_chunk(k_lo, k_hi, firsts):
-    checked = 0
+    # the smallest-square oracle scans the roots 1..root, so it takes root steps
+    checked = steps = 0
     viol = []
     for a in firsts:
         for k in range(k_lo, k_hi + 1):
             for d in range(1, a * k // (2 * k + 1) + 1):
                 if gcd(a, d) != 1:
                     continue
-                v = power_min_oracle(ApSemigroup(a, d, k), 2).value
+                res = power_min_oracle(ApSemigroup(a, d, k), 2)
                 checked += 1
-                if v > (a - d) ** 2:
-                    viol.append({"a": a, "d": d, "k": k, "min_square": v})
-    return checked, viol
+                steps += res.root
+                if res.value > (a - d) ** 2:
+                    viol.append({"a": a, "d": d, "k": k, "min_square": res.value})
+    return checked, viol, steps
 
 
 def verify_min_power_theorem(a_lo, a_hi, k_lo=1, k_hi=4, jobs=None) -> SweepReport:

@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 from math import gcd, isqrt
 
 import pytest
@@ -36,6 +36,22 @@ def test_ap_semigroup_basics():
     assert S.to_json() == '{"a":13,"d":5,"k":1}'
     assert sq.ApSemigroup.from_json(S.to_json()) == S
     assert sq.ApSemigroup(5, 2, 2).generators == (5, 7, 9)
+
+
+def test_ap_semigroup_stays_immutable_and_checked():
+    S = sq.ApSemigroup(13, 5, 1)
+    for attr in ("a", "_dinv", "other"):
+        with pytest.raises(AttributeError):
+            setattr(S, attr, 2)
+        with pytest.raises(AttributeError):
+            delattr(S, attr)
+    # a named tuple: equal to its fields, and _replace checks the new ones
+    assert S == (13, 5, 1) and hash(S) == hash((13, 5, 1))
+    assert S._replace(a=14)._dinv == pow(5, -1, 14)
+    with pytest.raises(sq.SemigroupError, match="first term"):
+        S._replace(a=1)
+    T = pickle.loads(pickle.dumps(S))
+    assert type(T) is sq.ApSemigroup and T == S and T._dinv == S._dinv
 
 
 def test_ap_contains_examples():
@@ -111,10 +127,10 @@ def test_lambda_profile_cached_per_residue():
 def test_lambda_profile_stores_nothing_d_long():
     # the cache holds many profiles, so none may keep a d-sized field
     prof = sq.lambda_profile(3, 10007)
-    for f in dataclasses.fields(prof):
-        value = getattr(prof, f.name)
+    for name in prof._fields:
+        value = getattr(prof, name)
         if isinstance(value, (tuple, list)):
-            assert len(value) <= len(prof.alphas), f.name
+            assert len(value) <= len(prof.alphas), name
     assert len(prof.lambdas) == 10007
 
 

@@ -34,7 +34,9 @@ def _verify_suite(jobs):
     ]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+# jobs=3 starts three workers only on three or more CPUs: _run caps the
+# worker count at the CPU count, so on two CPUs it runs as jobs=2
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_verify_suite_digest(jobs):
     assert _sha256_of_lines(_verify_suite(jobs)) == VERIFY_SUITE_SHA256
 

@@ -538,3 +538,11 @@ def test_closed_form_covers_every_table1_d(capsys):
     assert json.loads(oracle)["value"] == 64
     with pytest.raises(core.SemigroupError, match="d = 13"):
         closedform.square_frobenius_closed(7, 13)
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_theorem_ap_rejects_a_progression_length_below_1(capsys, k):
+    code, out, err = run_cli(capsys, "verify", "--target", "theorem-ap", "--max", "600",
+                             "--d", "3", "--k", k)
+    assert code == 2 and out == ""
+    assert err == f"error: progression length parameter must be >= 1, got {k}\n"

@@ -66,6 +66,9 @@ RUN_CLI = ("import sys\n"
     # one chunk of work runs in-process at any --jobs, so no pool is started
     (["exceptions", "--d", "3"], ["multiprocessing"]),
     (["exceptions", "--d", "3", "--jobs", "2"], ["multiprocessing"]),
+    # the result types of arith, power and closedform are named tuples
+    (["bound", "--a", "13", "--d", "5", "--k", "1"], ["dataclasses", "inspect"]),
+    (["power-frob", "--gens", "7,10", "--k", "2"], ["dataclasses", "inspect"]),
 ])
 def test_command_loads_only_what_it_runs(argv, absent):
     rc, *loaded = fresh(RUN_CLI, *argv)

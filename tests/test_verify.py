@@ -4,6 +4,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import sqfrob as sq
 
@@ -268,8 +270,13 @@ def test_reproduce_table2_reports_a_wrong_row(monkeypatch):
 
 
 def test_verify_theorem_bound_reports_strong_and_weak_violations(monkeypatch):
-    real = sq.verify.bound_B
-    monkeypatch.setattr(sq.verify, "bound_B", lambda s: real(s) - 1)
+    real = sq.verify._oracle_and_bound
+
+    def lowered_bound(a, d, k):
+        got, bb, steps = real(a, d, k)
+        return got, bb - 1, steps
+
+    monkeypatch.setattr(sq.verify, "_oracle_and_bound", lowered_bound)
     rep = sq.verify_theorem_bound(3, 1, 2, 300)
     assert not rep.passed
     weak = rep.extra["weak_hypothesis_violations"]
@@ -316,3 +323,51 @@ def test_theorem_bound_rejects_small_d_before_any_chunk(monkeypatch):
     monkeypatch.setattr(sq.verify, "_run", no_chunk)
     with pytest.raises(sq.DTooSmall):
         sq.verify_theorem_bound(2, 1, 2, 10)
+
+
+# The sweeps compare the oracle's own AP scan with the bound's own cell on
+# plain ints.  Each input rejection and answer stays the public objects' own.
+
+@pytest.mark.parametrize("a_lo", [1, -7])
+def test_bound_equality_rejects_a_first_term_below_2(a_lo):
+    with pytest.raises(sq.SemigroupError, match=f"first term must be >= 2, got {a_lo}$"):
+        sq.verify_bound_equality(5, a_lo, 100)
+
+
+def _assert_oracle_and_bound_agree(a, d, k):
+    assume(gcd(a, d) == 1)
+    S = sq.ApSemigroup(a, d, k)
+    res = sq.power_frobenius_oracle(S, 2)
+    assert sq.verify._oracle_and_bound(a, d, k) == (res.value, sq.bound_B(S), res.steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**4), st.integers(3, 40), st.integers(1, 4))
+@example(2, 3, 1)
+@example(10**4, 39, 4)
+def test_oracle_and_bound_is_the_public_oracle_and_bound(a, d, k):
+    _assert_oracle_and_bound_agree(a, d, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2**31 + 1, 2**31 + 10**6), st.integers(3, 40), st.integers(1, 4))
+@example(2**31 + 1, 40, 1)
+def test_oracle_and_bound_is_the_public_oracle_and_bound_past_2_31(a, d, k):
+    _assert_oracle_and_bound_agree(a, d, k)
+
+
+def test_sweep_steps_sum_the_oracle_steps_at_every_job_count():
+    rep = sq.exception_set(7)
+    assert rep.steps == sum(sq.power_frobenius_oracle(sq.ApSemigroup(a, 7, 1), 2).steps
+                            for a in range(2, 4 * 7**3) if gcd(a, 7) == 1)
+    assert "steps" not in rep.to_json()
+    # each input below has at least 2 chunks, so jobs=2 takes the pool path
+    for sweep, args in ((sq.exception_set, (11,)),
+                        (sq.compare_table1, ()),
+                        (sq.verify_bound_equality, (3, 105, 9000)),
+                        (sq.verify_theorem_bound, (3, 1, 2, 9000)),
+                        (sq.verify_conjectures, (1, 20000)),
+                        (sq.verify_min_power_theorem, (2, 80))):
+        serial, pooled = sweep(*args, jobs=1), sweep(*args, jobs=2)
+        assert serial.steps == pooled.steps > 0, sweep
+        assert '"steps"' not in serial.to_json(), sweep
