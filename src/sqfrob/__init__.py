@@ -17,10 +17,10 @@ _HOME = {
          "mu_j", "square_in_ap"),
         "arith"),
     **dict.fromkeys(
-        ("BadResidue", "ClosedFormAnswer", "EvenInput", "floor_half_sqrt2",
-         "floor_sqrt2", "floor_sqrt3", "sq_frob_d1", "sq_frob_d2", "sq_frob_d3",
-         "sq_frob_d4", "sq_frob_d5", "load_table1", "load_table2",
-         "square_frobenius_closed", "u", "u_index_set_member"),
+        ("BadResidue", "ClosedFormAnswer", "EvenInput", "floor_sqrt2",
+         "floor_sqrt3", "sq_frob_d1", "sq_frob_d2", "sq_frob_d3", "sq_frob_d4",
+         "sq_frob_d5", "load_table1", "load_table2", "square_frobenius_closed",
+         "u", "u_index_set_member"),
         "closedform"),
     **dict.fromkeys(
         ("AperyTable", "EmptyGenerators", "FullSemigroup", "NegativeInput",

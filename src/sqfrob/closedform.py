@@ -104,7 +104,6 @@ _U_FAMILIES = {
     "d1_square": ((1, 2), 1),
     "d1_adjacent": ((3, 0), 3),
     "d2_square": ((1,), 5),
-    "d2_square_sqrt3": ((1,), 9),
     "d2_adjacent": ((3,), 3),
 }
 
@@ -130,11 +129,6 @@ def floor_sqrt2(b: int) -> int:
 def floor_sqrt3(b: int) -> int:
     """floor(b * sqrt(3)), exactly."""
     return isqrt(3 * b * b)
-
-
-def floor_half_sqrt2(c: int) -> int:
-    """floor(c / sqrt(2)), exactly."""
-    return isqrt(2 * c * c) // 2
 
 
 class ClosedFormAnswer(namedtuple("ClosedFormAnswer", "a d value root branch b",

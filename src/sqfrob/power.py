@@ -7,9 +7,15 @@ or an ApSemigroup, which needs no table.  The largest-power scan over an
 ApSemigroup tests each root with one inequality: with v = a*x + d*y and
 0 <= y < a, v lies outside <a, a+d, ..., a+kd> exactly when
 (a + k*d)*y > k*v.  That test reads only the decomposition, never the lambda
-profile, so the oracle stays independent of the bound it checks.  On either
-route the largest-power oracle records the number of roots it scanned in
-steps, outside the canonical JSON.
+profile, so the oracle stays independent of the bound it checks.  For
+squares in <a, a+d> the scan runs upward on the offset e = a - m, which
+keeps its modular product small.  Since m*m = e*e (mod a), z = -e*e*d^-1
+mod a gives y = a - z when z != 0 and y = 0 (a member) when z == 0; and
+(a + d)*(a - z) > (a - e)**2 expands to a*(d + 2e - z) > d*z + e*e.  It is
+the same test rewritten, not a pruning: every root from the top down is
+still tested, and steps is unchanged.  On either route the largest-power
+oracle records the number of roots it scanned in steps, outside the
+canonical JSON.
 """
 
 from __future__ import annotations
@@ -104,7 +110,22 @@ def _ap_scan(a, d, kk, k):
     dinv = pow(d, -1, a)
     c = a + kk * d
     top = kth_root_floor(_roberts(a, d, kk), k)
-    if k == 2:
+    if k == 2 and kk == 1:
+        # squares in <a, a+d>, on the offset e = a - m scanned upward from
+        # a - top: the product reduced mod a is e*e*nd, small when e is,
+        # not m*m*dinv.  m*m = e*e (mod a), so z = -e*e*dinv mod a gives
+        # y = a - z when z != 0, and y = 0 (a member) when z == 0; and
+        # (a + d)*(a - z) > (a - e)**2 expands to a*(w - z) > d*z + e*e
+        # with w = d + 2e.  Every root from top down is still tested, so
+        # (m, top) and the steps are those of the loop below.
+        nd = a - dinv
+        w = d + 2 * (a - top)
+        for e in range(a - top, a):
+            z = e * e * nd % a
+            if z < w and z and a * (w - z) > d * z + e * e:
+                return a - e, top
+            w += 2
+    elif k == 2:
         for m in range(top, 0, -1):
             v = m * m
             if c * (v * dinv % a) > kk * v:

@@ -1,6 +1,7 @@
 """Independent brute-force references the library is cross-checked against.
 
-Everything here is a straight dynamic-programming sieve over the integers;
+Everything here is a straight dynamic-programming sieve over the integers,
+except the arithmetic-progression scan at the end, which counts summands;
 none of it shares code with the library's Apery or decomposition paths.
 """
 
@@ -74,3 +75,40 @@ def min_power(gens, k=2):
         if table[v]:
             return v
         m += 1
+
+
+def _root_floor(n, p):
+    """Largest m with m**p <= n, by bisection."""
+    lo, hi = 0, 1
+    while hi ** p <= n:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** p <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def ap_member(a, d, k, v):
+    """Whether v is in <a, a+d, ..., a+kd>, by the sum-count rule.
+
+    A sum of n generators is n*a + t*d with 0 <= t <= k*n, so v is a member
+    iff some n in [ceil(v/(a+kd)), floor(v/a)] has d | v - n*a, that is
+    n = v * a^-1 (mod d).  The least such n is found in O(1).
+    """
+    lo = -(-v // (a + k * d))
+    n = lo + (v * pow(a, -1, d) - lo) % d
+    return n * a <= v
+
+
+def ap_power_root(a, d, k, p):
+    """(root, top) for <a, a+d, ..., a+kd>: root is the largest m with m**p
+    outside, found by scanning down from top, the largest m with m**p at
+    most the Frobenius number (Roberts, Proc. AMS 7, 1956)."""
+    top = _root_floor(((a - 2) // k + 1) * a + (d - 1) * (a - 1) - 1, p)
+    for m in range(top, 0, -1):
+        if not ap_member(a, d, k, m ** p):
+            return m, top
+    raise AssertionError("1 is in the semigroup")

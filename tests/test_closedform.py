@@ -29,7 +29,6 @@ def test_u_recurrences():
     ("d1_square", [1, 2, 7, 12, 41, 70, 239, 408], [3, 5, 17, 29, 4, 6, 99]),
     ("d1_adjacent", [3, 5, 17, 29, 99, 169, 577, 985], [1, 2, 7, 12, 4, 41]),
     ("d2_square", [7, 41, 239, 1393], [1, 2, 3, 5, 17, 29, 99]),
-    ("d2_square_sqrt3", [41, 239, 1393], [7, 1, 17]),
     ("d2_adjacent", [3, 17, 99, 577], [5, 29, 169, 7, 41, 2]),
 ])
 def test_u_index_set_member(family, members, non_members):
@@ -43,8 +42,6 @@ def test_floor_helpers():
     assert sq.floor_sqrt2(2) == 2
     assert sq.floor_sqrt2(3) == 4
     assert sq.floor_sqrt3(2) == 3
-    assert sq.floor_half_sqrt2(3) == 2
-    assert sq.floor_half_sqrt2(7) == 4
 
 
 def test_sq_frob_d3_examples():

@@ -24,8 +24,8 @@ PUBLIC = [
     "NotAGenerator", "NumericalSemigroup", "PowerFrobResult", "SemigroupError",
     "SweepReport", "ZeroGenerator", "ap_contains", "ap_frobenius", "apery_set",
     "arith", "bound_B", "bound_edge", "closedform", "compare_table1", "contains",
-    "core", "decompose", "exception_set", "floor_half_sqrt2", "floor_sqrt2",
-    "floor_sqrt3", "frobenius", "gaps", "genus", "isqrt", "kth_root_floor",
+    "core", "decompose", "exception_set", "floor_sqrt2", "floor_sqrt3",
+    "frobenius", "gaps", "genus", "isqrt", "kth_root_floor",
     "lambda_profile", "load_table1", "load_table2", "make_semigroup", "mu_j",
     "power", "power_frobenius_oracle", "power_min_oracle", "reproduce_table2",
     "sq_frob_d1", "sq_frob_d2", "sq_frob_d3", "sq_frob_d4", "sq_frob_d5",

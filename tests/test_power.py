@@ -112,6 +112,66 @@ def test_ap_oracle_witness_can_have_negative_x(a, d, k, power):
     assert sq.power_frobenius_oracle(sq.ApSemigroup(a, d, k), power).witness["x"] < 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 60), st.integers(1, 12), st.integers(1, 3), st.sampled_from([2, 3]))
+def test_sum_count_reference_matches_sieve(a, d, k, power):
+    # the O(1) membership rule behind ap_power_root, against the sieve
+    assume(gcd(a, d) == 1)
+    gens = [a + i * d for i in range(k + 1)]
+    root, top = naive.ap_power_root(a, d, k, power)
+    assert root ** power == naive.power_frob(gens, power)
+    assert top ** power <= naive.frobenius(gens) < (top + 1) ** power
+
+
+def _square_scan_matches_sum_count(a, d):
+    # root and scan length of the square oracle on <a, a+d>, against a
+    # reference that decides membership by counting summands
+    res = sq.power_frobenius_oracle(sq.ApSemigroup(a, d, 1), 2)
+    root, top = naive.ap_power_root(a, d, 1, 2)
+    assert res.root == root
+    assert res.steps == top - root + 1
+    return top
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10 ** 4), st.integers(1, 40))
+def test_square_oracle_matches_sum_count_small_a(a, d):
+    assume(gcd(a, d) == 1)
+    _square_scan_matches_sum_count(a, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2 ** 31 + 1, 2 ** 31 + 10 ** 6), st.integers(1, 40))
+def test_square_oracle_matches_sum_count_past_int32(a, d):
+    assume(gcd(a, d) == 1)
+    _square_scan_matches_sum_count(a, d)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(10 ** 9, 10 ** 11), st.integers(1, 12))
+def test_square_oracle_matches_sum_count_large_a(a, d):
+    assume(gcd(a, d) == 1)
+    _square_scan_matches_sum_count(a, d)
+
+
+@pytest.mark.parametrize("a,d", [(7, 5), (3, 7), (9, 8), (11, 13), (2, 9), (13, 40)])
+def test_square_oracle_scan_starting_above_a(a, d):
+    # top > a, so the scan's first offset a - top is negative
+    assert _square_scan_matches_sum_count(a, d) > a
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_square_oracle_matches_sum_count_d1_d2(d):
+    for a in range(2, 3000):
+        if gcd(a, d) == 1:
+            _square_scan_matches_sum_count(a, d)
+
+
+def test_square_oracle_steps_are_pinned():
+    # an absolute scan length, so that no pruning creeps into the oracle
+    assert sq.power_frobenius_oracle(sq.ApSemigroup(1019495539, 3, 1), 2).steps == 31928
+
+
 @pytest.mark.parametrize("power", [2, 3])
 def test_oracle_steps_stay_out_of_json(power):
     S = sq.ApSemigroup(13, 5, 1)
