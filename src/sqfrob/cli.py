@@ -3,8 +3,9 @@
 Subcommands mirror the library: frobenius, member, power-frob, power-min,
 bound, exceptions, tables, verify.  Output goes to stdout in the format
 selected by --format (json by default, compact and deterministic);
-diagnostics go to stderr.  Exit codes: 0 success, 1 a verification found
-mismatches, 2 invalid input or an input too large for available memory.
+diagnostics and a sweep's wall time go to stderr.  Exit codes: 0 success,
+1 a verification found mismatches, 2 invalid input or an input too large
+for available memory.
 """
 
 from __future__ import annotations
@@ -41,43 +42,31 @@ def _gens_arg(text):
     return gens
 
 
-def _csv_cell(v):
+def _cell(v):
+    # a scalar as it is, a list or an object as its canonical JSON
     return v if isinstance(v, (int, float, str, bool)) else _canonical_json(v)
 
 
-def _emit_csv(obj):
-    import csv
-    import io
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    if isinstance(obj, dict):
-        # one row per entry of a members/mismatches list of dicts, else one row
-        rows = next((obj[key] for key in ("members", "mismatches")
-                     if isinstance(obj.get(key), list) and obj[key]
-                     and isinstance(obj[key][0], dict)), [obj])
-        header = list(rows[0])
-        w.writerow(header)
-        w.writerows([_csv_cell(r.get(h)) for h in header] for r in rows)
-    else:
-        w.writerow([_csv_cell(obj)])
-    return buf.getvalue().rstrip("\n")
-
-
-def _emit_text(obj):
-    if isinstance(obj, dict):
-        width = max(len(k) for k in obj)
-        return "\n".join(f"{k:<{width}}  {v}" for k, v in obj.items())
-    return str(obj)
-
-
 def _emit(payload, fmt):
+    """Print the payload's to_dict() as canonical JSON, or its keys over one row of cells.
+
+    csv is a header row and one row, text one aligned "key  value" line per
+    key; the keys, and so the columns, depend only on the report type.  A
+    bare scalar (frobenius, member) prints alone.
+    """
     obj = payload.to_dict() if hasattr(payload, "to_dict") else payload
-    if fmt == "csv":
-        print(_emit_csv(obj))
-    elif fmt == "text":
-        print(payload.to_text() if hasattr(payload, "to_text") else _emit_text(obj))
-    else:
+    if fmt == "json":
         print(_canonical_json(obj))
+        return
+    rows = [list(obj), [_cell(v) for v in obj.values()]] if isinstance(obj, dict) else [[obj]]
+    if fmt == "csv":
+        import csv
+        csv.writer(sys.stdout).writerows(rows)
+    elif isinstance(obj, dict):
+        width = max(map(len, obj))
+        print("\n".join(f"{k:<{width}}  {v}" for k, v in zip(*rows)))
+    else:
+        print(obj)
 
 
 def _cmd_frobenius(args):
@@ -115,8 +104,16 @@ def _cmd_power_frob(args):
     return power_frobenius_oracle(NumericalSemigroup(args.gens), args.k)
 
 
+# Unless 1 is a generator the answer is at least 2^k, which has more than
+# 100,000 digits past this k; printing it takes time quadratic in that.
+_POWER_MIN_MAX_K = 332_192
+
+
 def _cmd_power_min(args):
     from .power import power_min_oracle
+    if args.k > _POWER_MIN_MAX_K and _checked_generators(args.gens)[0] != 1:
+        raise ValueError(f"--k past {_POWER_MIN_MAX_K} needs 1 as a generator: otherwise "
+                         "the answer is at least 2^k, more than 100,000 digits")
     return power_min_oracle(NumericalSemigroup(args.gens), args.k)
 
 
@@ -235,6 +232,9 @@ def run(argv) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    # a sweep's timing goes to stderr, so stdout stays the same on every run
+    if hasattr(payload, "wall_time"):
+        print(f"walltime: {payload.wall_time:.2f}s", file=sys.stderr)
     return 0 if getattr(payload, "passed", True) else 1
 
 

@@ -127,20 +127,6 @@ class SweepReport(CanonicalJson):
                    mismatches=mismatches, wall_time=time.perf_counter() - t0,
                    extra=extra or {}, steps=sum(p[-1] for p in parts))
 
-    def to_text(self) -> str:
-        lines = [
-            f"scope:    {self.scope}",
-            f"range:    {self.span}",
-            f"checked:  {self.checked}",
-            f"passed:   {self.passed}",
-            f"walltime: {self.wall_time:.2f}s",
-        ]
-        for m in self.mismatches:
-            lines.append(f"mismatch: {m}")
-        if self.extra:
-            lines.append(f"extra:    {self.extra}")
-        return "\n".join(lines)
-
 
 def _oracle_and_bound(a, d, k):
     """(square oracle value, bound_B, oracle steps) of <a, a+d, ..., a+kd>.

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,21 @@ def test_power_min(capsys):
     assert json.loads(out) == {"k": 2, "root": 2, "value": 4, "method": "oracle"}
 
 
+@pytest.mark.parametrize("k", ["332193", "10000000", "1000000000"])
+def test_power_min_past_the_digit_cap_is_invalid_input(capsys, k):
+    # unless 1 is a generator the answer is at least 2^k; past k = 332,192 it
+    # has over 100,000 digits, and printing it takes quadratic time
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "power-min", "--gens", "2,3", "--k", k)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and len(lines[0]) <= 200
+    code, out, _ = run_cli(capsys, "power-min", "--gens", "1", "--k", k)
+    assert code == 0
+    assert out == f'{{"k":{k},"root":1,"value":1,"method":"oracle"}}\n'
+
+
 def test_bound_with_profile(capsys):
     code, out, _ = run_cli(capsys, "bound", "--a", "13", "--d", "5", "--k", "1")
     assert code == 0
@@ -159,10 +175,18 @@ def test_verify_conj1(capsys):
 
 
 def test_verify_jobs_deterministic_stdout(capsys):
-    _, out1, _ = run_cli(capsys, "verify", "--target", "conj2", "--max", "4000")
-    _, out2, _ = run_cli(capsys, "verify", "--target", "conj2", "--max", "4000",
-                         "--jobs", "3")
-    assert out1 == out2
+    for fmt in FORMATS:
+        _, out1, err1 = run_cli(capsys, "verify", "--target", "conj2", "--max", "4000",
+                                "--format", fmt)
+        _, out2, err2 = run_cli(capsys, "verify", "--target", "conj2", "--max", "4000",
+                                "--jobs", "3", "--format", fmt)
+        assert out1 == out2, fmt
+        # the sweep's one timing line goes to stderr, never stdout
+        for err in (err1, err2):
+            assert re.fullmatch(r"walltime: \d+\.\d\ds\n", err), (fmt, err)
+        _, _, err = run_cli(capsys, "bound", "--a", "13", "--d", "5", "--k", "1",
+                            "--format", fmt)
+        assert err == "", fmt
 
 
 def test_verify_theorem_ap_and_min_power(capsys):
@@ -194,14 +218,36 @@ def test_text_and_csv_formats(capsys):
     assert lines[1] == "2,10,100,oracle"
     _, out, _ = run_cli(capsys, "exceptions", "--d", "5", "--format", "csv")
     lines = out.strip().splitlines()
-    assert lines[0] == "a,oracle_value,bound_B_value"
-    assert len(lines) == 6
+    assert lines[0] == "d,scan_range,members"
+    assert len(lines) == 2
     _, out, _ = run_cli(capsys, "tables", "--which", "2", "--format", "text")
-    assert "passed:   True" in out
+    assert "passed      True" in out.splitlines()
 
 
-# (argv, exit code, stdout under --format json, csv, text); the sweep
-# reports' walltime lines are masked
+def _keys(out, fmt):
+    # the csv header row, or the key column of the text lines
+    lines = out.splitlines()
+    return lines[0] if fmt == "csv" else [line.split()[0] for line in lines]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_columns_depend_only_on_the_report_type(capsys, monkeypatch, fmt):
+    _, empty, _ = run_cli(capsys, "exceptions", "--d", "3", "--format", fmt)
+    _, full, _ = run_cli(capsys, "exceptions", "--d", "5", "--format", fmt)
+    assert _keys(empty, fmt) == _keys(full, fmt)
+    _, passing, _ = run_cli(capsys, "tables", "--which", "2", "--format", fmt)
+    d, a, root, b_root = verify.load_table2()[0]
+    monkeypatch.setattr(verify, "load_table2", lambda: [(d, a, root + 1, b_root)])
+    code, failing, _ = run_cli(capsys, "tables", "--which", "2", "--format", fmt)
+    assert code == 1 and _keys(passing, fmt) == _keys(failing, fmt)
+    if fmt == "text":
+        mismatch = {"d": d, "a": a, "expected_sqfrob": (root + 1) ** 2,
+                    "got_sqfrob": root ** 2, "expected_bound": b_root ** 2,
+                    "got_bound": b_root ** 2}
+        assert f"mismatches  {core._canonical_json([mismatch])}" in failing.splitlines()
+
+
+# (argv, exit code, stdout under --format json, csv, text)
 CLI_BYTES = [
     (('frobenius', '--gens', '5,6'), 0,
      '19\n',
@@ -264,15 +310,15 @@ CLI_BYTES = [
       'root     1\n'
       'value    1\n'
       'method   bound\n'
-      "profile  {'d': 7, 'lambdas': [0, 3, 5, 6, 6, 5, 3],"
-      " 'lambda_star': 6, 'alphas': [3, 4], 'alpha_next': 10, 'mu': 1,"
-      " 'j': 2, 'target': 128, 'edge': 3}\n")),
+      'profile  {"d":7,"lambdas":[0,3,5,6,6,5,3],"lambda_star":6,'
+      '"alphas":[3,4],"alpha_next":10,"mu":1,"j":2,"target":128,'
+      '"edge":3}\n')),
     (('exceptions', '--d', '3'), 0,
      '{"d":3,"scan_range":[2,107],"members":[]}\n',
      ('d,scan_range,members\r\n'
       '3,"[2,107]",[]\r\n'),
      ('d           3\n'
-      'scan_range  [2, 107]\n'
+      'scan_range  [2,107]\n'
       'members     []\n')),
     (('exceptions', '--d', '5'), 0,
      ('{"d":5,"scan_range":[2,499],"members":[{"a":2,"oracle_value":1,'
@@ -280,59 +326,59 @@ CLI_BYTES = [
       '{"a":13,"oracle_value":100,"bound_B_value":81},{"a":27,'
       '"oracle_value":441,"bound_B_value":400},{"a":32,'
       '"oracle_value":676,"bound_B_value":625}]}\n'),
-     ('a,oracle_value,bound_B_value\r\n'
-      '2,1,0\r\n'
-      '4,1,4\r\n'
-      '13,100,81\r\n'
-      '27,441,400\r\n'
-      '32,676,625\r\n'),
+     ('d,scan_range,members\r\n'
+      '5,"[2,499]","[{""a"":2,""oracle_value"":1,""bound_B_value"":0},'
+      '{""a"":4,""oracle_value"":1,""bound_B_value"":4},{""a"":13,'
+      '""oracle_value"":100,""bound_B_value"":81},{""a"":27,'
+      '""oracle_value"":441,""bound_B_value"":400},{""a"":32,'
+      '""oracle_value"":676,""bound_B_value"":625}]"\r\n'),
      ('d           5\n'
-      'scan_range  [2, 499]\n'
-      "members     [{'a': 2, 'oracle_value': 1, 'bound_B_value': 0},"
-      " {'a': 4, 'oracle_value': 1, 'bound_B_value': 4}, {'a': 13,"
-      " 'oracle_value': 100, 'bound_B_value': 81}, {'a': 27,"
-      " 'oracle_value': 441, 'bound_B_value': 400}, {'a': 32,"
-      " 'oracle_value': 676, 'bound_B_value': 625}]\n")),
+      'scan_range  [2,499]\n'
+      'members     [{"a":2,"oracle_value":1,"bound_B_value":0},'
+      '{"a":4,"oracle_value":1,"bound_B_value":4},{"a":13,'
+      '"oracle_value":100,"bound_B_value":81},{"a":27,'
+      '"oracle_value":441,"bound_B_value":400},{"a":32,'
+      '"oracle_value":676,"bound_B_value":625}]\n')),
     (('tables', '--which', '1'), 0,
      ('{"scope":"exception sets vs golden table","range":"d=3..12",'
       '"checked":13766,"passed":true,"mismatches":[]}\n'),
      ('scope,range,checked,passed,mismatches\r\n'
       'exception sets vs golden table,d=3..12,13766,True,[]\r\n'),
-     ('scope:    exception sets vs golden table\n'
-      'range:    d=3..12\n'
-      'checked:  13766\n'
-      'passed:   True\n'
-      'walltime: *\n')),
+     ('scope       exception sets vs golden table\n'
+      'range       d=3..12\n'
+      'checked     13766\n'
+      'passed      True\n'
+      'mismatches  []\n')),
     (('tables', '--which', '2'), 0,
      ('{"scope":"exceptional values vs golden table","range":"62 rows",'
       '"checked":62,"passed":true,"mismatches":[]}\n'),
      ('scope,range,checked,passed,mismatches\r\n'
       'exceptional values vs golden table,62 rows,62,True,[]\r\n'),
-     ('scope:    exceptional values vs golden table\n'
-      'range:    62 rows\n'
-      'checked:  62\n'
-      'passed:   True\n'
-      'walltime: *\n')),
+     ('scope       exceptional values vs golden table\n'
+      'range       62 rows\n'
+      'checked     62\n'
+      'passed      True\n'
+      'mismatches  []\n')),
     (('verify', '--target', 'conj1', '--max', '2000'), 0,
      ('{"scope":"square-frobenius conjecture, d=1","range":[2,2000],'
       '"checked":86,"passed":true,"mismatches":[]}\n'),
      ('scope,range,checked,passed,mismatches\r\n'
       '"square-frobenius conjecture, d=1","[2,2000]",86,True,[]\r\n'),
-     ('scope:    square-frobenius conjecture, d=1\n'
-      'range:    (2, 2000)\n'
-      'checked:  86\n'
-      'passed:   True\n'
-      'walltime: *\n')),
+     ('scope       square-frobenius conjecture, d=1\n'
+      'range       [2,2000]\n'
+      'checked     86\n'
+      'passed      True\n'
+      'mismatches  []\n')),
     (('verify', '--target', 'conj2', '--max', '4000'), 0,
      ('{"scope":"square-frobenius conjecture, d=2","range":[3,4000],'
       '"checked":62,"passed":true,"mismatches":[]}\n'),
      ('scope,range,checked,passed,mismatches\r\n'
       '"square-frobenius conjecture, d=2","[3,4000]",62,True,[]\r\n'),
-     ('scope:    square-frobenius conjecture, d=2\n'
-      'range:    (3, 4000)\n'
-      'checked:  62\n'
-      'passed:   True\n'
-      'walltime: *\n')),
+     ('scope       square-frobenius conjecture, d=2\n'
+      'range       [3,4000]\n'
+      'checked     62\n'
+      'passed      True\n'
+      'mismatches  []\n')),
     (('verify', '--target', 'theorem-ap', '--max', '600', '--d', '3', '--k', '1'), 0,
      ('{"scope":"square bound, d=3 k=1","range":[2,600],"checked":330,'
       '"passed":true,"mismatches":[],'
@@ -342,23 +388,23 @@ CLI_BYTES = [
       '"square bound, d=3 k=1","[2,600]",330,True,[],'
       '"{""weak_hypothesis_checked"":360,'
       '""weak_hypothesis_violations"":[]}"\r\n'),
-     ('scope:    square bound, d=3 k=1\n'
-      'range:    (2, 600)\n'
-      'checked:  330\n'
-      'passed:   True\n'
-      'walltime: *\n'
-      "extra:    {'weak_hypothesis_checked': 360,"
-      " 'weak_hypothesis_violations': []}\n")),
+     ('scope       square bound, d=3 k=1\n'
+      'range       [2,600]\n'
+      'checked     330\n'
+      'passed      True\n'
+      'mismatches  []\n'
+      'extra       {"weak_hypothesis_checked":360,'
+      '"weak_hypothesis_violations":[]}\n')),
     (('verify', '--target', 'min-power', '--max', '40'), 0,
      ('{"scope":"smallest square vs (a-d)^2, k=1..4","range":[2,40],'
       '"checked":788,"passed":true,"mismatches":[]}\n'),
      ('scope,range,checked,passed,mismatches\r\n'
       '"smallest square vs (a-d)^2, k=1..4","[2,40]",788,True,[]\r\n'),
-     ('scope:    smallest square vs (a-d)^2, k=1..4\n'
-      'range:    (2, 40)\n'
-      'checked:  788\n'
-      'passed:   True\n'
-      'walltime: *\n')),
+     ('scope       smallest square vs (a-d)^2, k=1..4\n'
+      'range       [2,40]\n'
+      'checked     788\n'
+      'passed      True\n'
+      'mismatches  []\n')),
 ]
 
 FORMATS = ("json", "csv", "text")
@@ -370,7 +416,6 @@ FORMATS = ("json", "csv", "text")
     for argv, code, *outs in CLI_BYTES for fmt, out in zip(FORMATS, outs)])
 def test_stdout_bytes_every_command_and_format(capsys, argv, fmt, code, expected):
     got_code, out, _ = run_cli(capsys, *argv, "--format", fmt)
-    out = re.sub(r"(?m)^walltime: .*$", "walltime: *", out)
     assert (got_code, out) == (code, expected)
 
 

@@ -266,7 +266,6 @@ def test_reproduce_table2_reports_a_wrong_row(monkeypatch):
     assert rep.mismatches == [{"d": d, "a": a,
                                "expected_sqfrob": (root + 1) ** 2, "got_sqfrob": root ** 2,
                                "expected_bound": b_root ** 2, "got_bound": b_root ** 2}]
-    assert f"mismatch: {rep.mismatches[0]}" in rep.to_text().splitlines()
 
 
 def test_verify_theorem_bound_reports_strong_and_weak_violations(monkeypatch):
