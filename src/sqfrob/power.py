@@ -8,14 +8,20 @@ ApSemigroup tests each root with one inequality: with v = a*x + d*y and
 0 <= y < a, v lies outside <a, a+d, ..., a+kd> exactly when
 (a + k*d)*y > k*v.  That test reads only the decomposition, never the lambda
 profile, so the oracle stays independent of the bound it checks.  For
-squares in <a, a+d> the scan runs upward on the offset e = a - m, which
-keeps its modular product small.  Since m*m = e*e (mod a), z = -e*e*d^-1
-mod a gives y = a - z when z != 0 and y = 0 (a member) when z == 0; and
-(a + d)*(a - z) > (a - e)**2 expands to a*(d + 2e - z) > d*z + e*e.  It is
-the same test rewritten, not a pruning: every root from the top down is
-still tested, and steps is unchanged.  On either route the largest-power
-oracle records the number of roots it scanned in steps, outside the
-canonical JSON.
+squares in <a, a+d> with a < 2**30 the scan runs upward on the offset
+e = a - m, which keeps its modular product small.  Since m*m = e*e (mod a),
+z = -e*e*d^-1 mod a gives y = a - z when z != 0 and y = 0 (a member) when
+z == 0; and (a + d)*(a - z) > (a - e)**2 expands to
+a*(d + 2e - z) > d*z + e*e.  Every other square scan (k >= 2, or k = 1 with
+a >= 2**30) keeps y = m*m*d^-1 mod a exact with two additive recurrences
+on integers below a: y(m-1) = y(m) - g(m) and g(m-1) = g(m) - 2*d^-1, both
+mod a, with g(m) = (2m - 1)*d^-1 mod a.  It walks the roots in blocks
+(lo, hi]: every m there has m >= lo + 1, so (a + k*d)*y > k*m*m can hold
+only if y > k*(lo + 1)**2 // (a + k*d), a bound fixed for the block, and
+the exact test runs only on the roots past it.  Both are the same test
+rewritten, not a pruning: every root from the top down is still tested,
+and steps is unchanged.  On every route the largest-power oracle records
+the number of roots it scanned in steps, outside the canonical JSON.
 """
 
 from __future__ import annotations
@@ -98,6 +104,11 @@ def power_frobenius_oracle(S, k: int) -> PowerFrobResult:
     raise AssertionError("scan fell through: the semigroup contains 1")
 
 
+# roots per block of the recurrence square scan: its counter stays within
+# CPython's cached small ints (up to 256), so the inner loop allocates no int
+_BLOCK = 256
+
+
 def _ap_scan(a, d, kk, k):
     """(m, top): the largest root m with m**k outside <a, a+d, ..., a+kk*d>, on plain ints.
 
@@ -110,14 +121,16 @@ def _ap_scan(a, d, kk, k):
     dinv = pow(d, -1, a)
     c = a + kk * d
     top = kth_root_floor(_roberts(a, d, kk), k)
-    if k == 2 and kk == 1:
+    if k == 2 and kk == 1 and a < 1 << 30:
         # squares in <a, a+d>, on the offset e = a - m scanned upward from
         # a - top: the product reduced mod a is e*e*nd, small when e is,
         # not m*m*dinv.  m*m = e*e (mod a), so z = -e*e*dinv mod a gives
         # y = a - z when z != 0, and y = 0 (a member) when z == 0; and
         # (a + d)*(a - z) > (a - e)**2 expands to a*(w - z) > d*z + e*e
         # with w = d + 2e.  Every root from top down is still tested, so
-        # (m, top) and the steps are those of the loop below.
+        # (m, top) and the steps are those of the recurrence below, which
+        # takes over from a = 2**30, one CPython int digit, up; every sweep
+        # stays below that.
         nd = a - dinv
         w = d + 2 * (a - top)
         for e in range(a - top, a):
@@ -126,10 +139,28 @@ def _ap_scan(a, d, kk, k):
                 return a - e, top
             w += 2
     elif k == 2:
-        for m in range(top, 0, -1):
-            v = m * m
-            if c * (v * dinv % a) > kk * v:
-                return m, top
+        # y = m*m*dinv mod a and g = (2m - 1)*dinv mod a, stepped from top
+        # down: (m - 1)**2 = m*m - (2m - 1) and 2(m - 1) - 1 = (2m - 1) - 2,
+        # so y(m-1) = y(m) - g(m) and g(m-1) = g(m) - 2*dinv, both mod a.
+        # In the block (lo, hi] every m is at least lo + 1, so c*y > kk*m*m
+        # needs c*y > kk*(lo + 1)**2, that is y > bar; the exact test runs
+        # only past bar.  Every root is still visited, so (m, top) and the
+        # steps are those of a loop testing each m*m*dinv % a directly.
+        y = top * top * dinv % a
+        g = (2 * top - 1) * dinv % a
+        g2 = 2 * dinv % a
+        for hi in range(top, 0, -_BLOCK):
+            lo = max(hi - _BLOCK, 0)
+            bar = kk * (lo + 1) ** 2 // c
+            for i in range(hi - lo):
+                if y > bar and c * y > kk * (hi - i) ** 2:
+                    return hi - i, top
+                y -= g
+                if y < 0:
+                    y += a
+                g -= g2
+                if g < 0:
+                    g += a
     else:
         for m in range(top, 0, -1):
             v = m ** k

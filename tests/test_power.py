@@ -1,3 +1,5 @@
+import inspect
+import sys
 from math import gcd
 
 import pytest
@@ -123,41 +125,75 @@ def test_sum_count_reference_matches_sieve(a, d, k, power):
     assert top ** power <= naive.frobenius(gens) < (top + 1) ** power
 
 
-def _square_scan_matches_sum_count(a, d):
-    # root and scan length of the square oracle on <a, a+d>, against a
-    # reference that decides membership by counting summands
-    res = sq.power_frobenius_oracle(sq.ApSemigroup(a, d, 1), 2)
-    root, top = naive.ap_power_root(a, d, 1, 2)
+def _square_scan_matches_sum_count(a, d, k=1):
+    # root and scan length of the square oracle on <a, a+d, ..., a+kd>,
+    # against a reference that decides membership by counting summands
+    res = sq.power_frobenius_oracle(sq.ApSemigroup(a, d, k), 2)
+    root, top = naive.ap_power_root(a, d, k, 2)
     assert res.root == root
     assert res.steps == top - root + 1
-    return top
+    return root, top
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 10 ** 4), st.integers(1, 40))
-def test_square_oracle_matches_sum_count_small_a(a, d):
+@given(st.integers(2, 10 ** 4), st.integers(1, 40), st.integers(1, 4))
+def test_square_oracle_matches_sum_count_small_a(a, d, k):
     assume(gcd(a, d) == 1)
-    _square_scan_matches_sum_count(a, d)
+    _square_scan_matches_sum_count(a, d, k)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2 ** 31 + 1, 2 ** 31 + 10 ** 6), st.integers(1, 40))
-def test_square_oracle_matches_sum_count_past_int32(a, d):
+@given(st.integers(2 ** 31 + 1, 2 ** 31 + 10 ** 6), st.integers(1, 40), st.integers(1, 4))
+def test_square_oracle_matches_sum_count_past_int32(a, d, k):
     assume(gcd(a, d) == 1)
-    _square_scan_matches_sum_count(a, d)
+    _square_scan_matches_sum_count(a, d, k)
 
 
-@settings(max_examples=4, deadline=None)
-@given(st.integers(10 ** 9, 10 ** 11), st.integers(1, 12))
-def test_square_oracle_matches_sum_count_large_a(a, d):
+@settings(max_examples=8, deadline=None)
+@given(st.integers(10 ** 9, 10 ** 11), st.integers(1, 12), st.integers(1, 4))
+def test_square_oracle_matches_sum_count_large_a(a, d, k):
     assume(gcd(a, d) == 1)
-    _square_scan_matches_sum_count(a, d)
+    _square_scan_matches_sum_count(a, d, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2 ** 30 - 10 ** 6, 2 ** 30 + 10 ** 6), st.integers(1, 40))
+@example(2 ** 30 - 1, 1)
+@example(2 ** 30, 1)
+@example(2 ** 30 - 1, 40)
+@example(2 ** 30, 39)
+def test_square_oracle_matches_sum_count_either_side_of_2_30(a, d):
+    # k = 1 switches from the offset scan to the recurrence at a = 2**30;
+    # top*top <= a*a + (d - 2)*a - d, so with d >= 5 the scan starts above a
+    assume(gcd(a, d) == 1)
+    _, top = _square_scan_matches_sum_count(a, d)
+    assert (top > a) == (d >= 5)
+
+
+@pytest.mark.parametrize("a,d,k,edge", [
+    (1074304007, 29, 1, "first"), (2572715, 31, 2, "first"), (714369, 17, 3, "first"),
+    (1125793, 21, 4, "first"),
+    (1079928779, 35, 1, "last"), (6123331, 37, 2, "last"), (6584621, 5, 3, "last"),
+    (1918897, 40, 4, "last"),
+    # last roots where (a + kd)*y <= k*(root + 1)**2: a bound taken at the
+    # block's second-lowest root would skip them
+    (122346, 5, 3, "last"), (61909, 22, 4, "last"), (111527, 33, 4, "last"),
+    (2, 1, 2, "last"), (3, 1, 3, "last"), (2, 3, 4, "last"),
+])
+def test_square_oracle_answer_on_a_block_edge(a, d, k, edge):
+    # the recurrence scan tests roots in blocks of _BLOCK from top down
+    root, top = _square_scan_matches_sum_count(a, d, k)
+    block = sq.power._BLOCK
+    if edge == "first":
+        assert (top - root) % block == 0 and top > root
+    else:
+        assert (top - root + 1) % block == 0 or root == 1
 
 
 @pytest.mark.parametrize("a,d", [(7, 5), (3, 7), (9, 8), (11, 13), (2, 9), (13, 40)])
 def test_square_oracle_scan_starting_above_a(a, d):
     # top > a, so the scan's first offset a - top is negative
-    assert _square_scan_matches_sum_count(a, d) > a
+    assert _square_scan_matches_sum_count(a, d)[1] > a
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -170,6 +206,51 @@ def test_square_oracle_matches_sum_count_d1_d2(d):
 def test_square_oracle_steps_are_pinned():
     # an absolute scan length, so that no pruning creeps into the oracle
     assert sq.power_frobenius_oracle(sq.ApSemigroup(1019495539, 3, 1), 2).steps == 31928
+
+
+@pytest.mark.parametrize("a,d,k,steps", [
+    (2538633157, 5, 1, 71254), (10168757624, 7, 2, 94086), (30218068790, 9, 3, 142981),
+])
+def test_square_oracle_steps_are_pinned_past_2_30(a, d, k, steps):
+    # k = 1 past a = 2**30 and k >= 2 scan on the recurrence; each pin was
+    # checked against naive.ap_power_root
+    assert sq.power_frobenius_oracle(sq.ApSemigroup(a, d, k), 2).steps == steps
+
+
+def _scan_route(a, d, k):
+    # which square loop of _ap_scan ran: the source lines it executed
+    code = sq.power._ap_scan.__code__
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        sq.power._ap_scan(a, d, k, 2)
+    finally:
+        sys.settrace(old)
+    lines, first = inspect.getsourcelines(sq.power._ap_scan)
+    text = {lines[n - first].strip() for n in ran}
+    offset, recurrence = "w += 2" in text, "y -= g" in text
+    assert offset != recurrence, text
+    return "offset" if offset else "recurrence"
+
+
+@pytest.mark.parametrize("a,d,k,route", [
+    (2 ** 30 - 1, 1, 1, "offset"), (2 ** 30 - 3, 40, 1, "offset"), (1000003, 7, 1, "offset"),
+    (2 ** 30, 1, 1, "recurrence"), (2 ** 30 + 1, 37, 1, "recurrence"),
+    (1009, 3, 2, "recurrence"), (1000003, 7, 3, "recurrence"), (2 ** 30 - 1, 1, 4, "recurrence"),
+])
+def test_square_scan_route(a, d, k, route):
+    # the sweeps (k = 1, a < 2**30) keep the offset scan; the rest step
+    # the recurrence, which costs less per root there
+    assert _scan_route(a, d, k) == route
 
 
 @pytest.mark.parametrize("power", [2, 3])
