@@ -18,10 +18,22 @@ on integers below a: y(m-1) = y(m) - g(m) and g(m-1) = g(m) - 2*d^-1, both
 mod a, with g(m) = (2m - 1)*d^-1 mod a.  It walks the roots in blocks
 (lo, hi]: every m there has m >= lo + 1, so (a + k*d)*y > k*m*m can hold
 only if y > k*(lo + 1)**2 // (a + k*d), a bound fixed for the block, and
-the exact test runs only on the roots past it.  Both are the same test
-rewritten, not a pruning: every root from the top down is still tested,
-and steps is unchanged.  On every route the largest-power oracle records
-the number of roots it scanned in steps, outside the canonical JSON.
+the exact test runs only on the roots past it.  After two blocks without
+an answer it packs 64 consecutive roots into one Python int, a lane of
+W = 8*ceil((bits(a) + 2)/8) bits per root, lane j holding root hi - j.
+With L = 64 and G(m) = (2mL - L*L)*d^-1 mod a, y(m-L) = y(m) - G(m) and
+G(m-L) = G(m) - 2L*L*d^-1, so a dozen big-int operations step all 64
+lanes at once.  Each subtraction mod a is an addition t in [0, 2a) per
+lane, reduced by the guard bit W - 1: t + 2**(W-1) - a sets it exactly
+when t >= a, and since 2a < 2**(W-1) no lane carries into the next.  The
+block bound, taken at the step's lowest root, is below a (kk*top**2 is at
+most kk times the Frobenius number, which is below (a + kk*d)*a), so the
+same guard bit marks the lanes with y above it; those are tested exactly,
+highest root first.  These are the same test rewritten, not a pruning:
+every root from the top down is still tested, the first missing one is
+returned, and steps is unchanged.  On every route the largest-power oracle
+records the number of roots it scanned in steps, outside the canonical
+JSON.
 """
 
 from __future__ import annotations
@@ -107,6 +119,10 @@ def power_frobenius_oracle(S, k: int) -> PowerFrobResult:
 # roots per block of the recurrence square scan: its counter stays within
 # CPython's cached small ints (up to 256), so the inner loop allocates no int
 _BLOCK = 256
+# the recurrence scan tests _HANDOFF blocks one root at a time, then hands
+# the rest to the packed scan, which steps _LANES roots at once
+_HANDOFF = 2
+_LANES = 64
 
 
 def _ap_scan(a, d, kk, k):
@@ -144,12 +160,14 @@ def _ap_scan(a, d, kk, k):
         # so y(m-1) = y(m) - g(m) and g(m-1) = g(m) - 2*dinv, both mod a.
         # In the block (lo, hi] every m is at least lo + 1, so c*y > kk*m*m
         # needs c*y > kk*(lo + 1)**2, that is y > bar; the exact test runs
-        # only past bar.  Every root is still visited, so (m, top) and the
-        # steps are those of a loop testing each m*m*dinv % a directly.
+        # only past bar.  After _HANDOFF blocks the packed scan goes on from
+        # the next root with the same y, g and bar, _LANES roots per step.
+        # Every root is still visited in order, so (m, top) and the steps
+        # are those of a loop testing each m*m*dinv % a directly.
         y = top * top * dinv % a
         g = (2 * top - 1) * dinv % a
         g2 = 2 * dinv % a
-        for hi in range(top, 0, -_BLOCK):
+        for hi in range(top, max(top - _HANDOFF * _BLOCK, 0), -_BLOCK):
             lo = max(hi - _BLOCK, 0)
             bar = kk * (lo + 1) ** 2 // c
             for i in range(hi - lo):
@@ -161,11 +179,75 @@ def _ap_scan(a, d, kk, k):
                 g -= g2
                 if g < 0:
                     g += a
+        # no hit in the first _HANDOFF blocks, so top > _HANDOFF * _BLOCK and
+        # y, g are those of the next root down
+        return _packed_scan(a, c, kk, dinv, y, g, top - _HANDOFF * _BLOCK, top)
     else:
         for m in range(top, 0, -1):
             v = m ** k
             if c * (v * dinv % a) > kk * v:
                 return m, top
+    raise AssertionError("scan fell through: the semigroup contains 1")
+
+
+def _packed_scan(a, c, kk, dinv, y, g, hi, top):
+    """(m, top): the square scan of _ap_scan from root hi down, _LANES roots a step.
+
+    y and g are the recurrence's y(hi) and g(hi), and c = a + kk*d.  Lane j
+    of the int Y holds y(m) for m = hi - j, and lane j of H holds
+    h(m) = -G(m) = (L*L - 2mL)*dinv mod a, with L = _LANES.  Since
+    (m - L)**2 = m*m - (2mL - L*L), one step is y <- y + h and
+    h <- h + 2L*L*dinv, both lane-wise mod a.
+    """
+    L = _LANES
+    # lanes are whole bytes with two bits to spare: a lane holds less than
+    # 2a < 2**guard, so it never reaches its guard bit before the reduction
+    # adds 2**guard - a, and no lane carries into the next
+    width = 8 * ((a.bit_length() + 2 + 7) // 8)
+    nbytes, guard = width // 8, width - 1
+    g2, step = 2 * dinv % a, 2 * L * dinv % a
+    h = (L * L - 2 * hi * L) * dinv % a
+    ys, hs = [], []
+    for _ in range(L):
+        ys.append(y.to_bytes(nbytes, "little"))
+        hs.append(h.to_bytes(nbytes, "little"))
+        y -= g
+        if y < 0:
+            y += a
+        g -= g2
+        if g < 0:
+            g += a
+        h += step
+        if h >= a:
+            h -= a
+    Y = int.from_bytes(b"".join(ys), "little")
+    H = int.from_bytes(b"".join(hs), "little")
+    ones = int.from_bytes((b"\1" + bytes(nbytes - 1)) * L, "little")
+    guards, lane = ones << guard, (1 << width) - 1
+    # a lane t in [0, 2a) sets its guard bit in t + 2**guard - a exactly
+    # when t >= a, so t - (guard bits >> guard)*a is every lane mod a
+    sub_a = ((1 << guard) - a) * ones
+    ad = (2 * L * L * dinv % a) * ones
+    while hi > 0:
+        # every root of the step is at least n, its lowest; bar < a since
+        # kk*top**2 <= kk*F < c*a for the Frobenius number F
+        n = hi - L + 1 if hi > L else 1
+        bar = kk * n * n // c
+        # the lanes with y > bar set their guard bit; the lowest such lane
+        # holds the highest root, so the first exact hit is the scalar loop's
+        cand = (Y + ((1 << guard) - 1 - bar) * ones) & guards
+        while cand:
+            low = cand & -cand
+            j = (low.bit_length() - 1) // width
+            m = hi - j
+            if c * ((Y >> (width * j)) & lane) > kk * m * m:
+                return m, top
+            cand ^= low
+        t = Y + H
+        Y = t - (((t + sub_a) & guards) >> guard) * a
+        t = H + ad
+        H = t - (((t + sub_a) & guards) >> guard) * a
+        hi -= L
     raise AssertionError("scan fell through: the semigroup contains 1")
 
 

@@ -1,4 +1,5 @@
 import pickle
+import random
 from math import gcd, isqrt
 
 import pytest
@@ -294,6 +295,23 @@ def test_bound_edge_covers_all_larger_squares():
             assert sq.bound_B(S) == (a - edge) ** 2
             for i in range(-k * d, edge):
                 assert sq.square_in_ap(S, i), (a, d, k, i)
+
+
+def test_bound_B_for_k_2_3_is_at_least_the_oracle_start():
+    # The square oracle starts at isqrt(F) for the Frobenius number F, so
+    # its value is at most isqrt(F)**2.  For k = 2, 3 B is at least that on
+    # every draw here, so the sweeps' oracle <= bound_B check passes
+    # whatever the scan returns there; the k >= 2 scan is checked against
+    # naive.ap_power_root instead.  A bound that drops below the oracle's
+    # start shows up here first.
+    rng = random.Random(2006)
+    for _ in range(400):
+        k, d = rng.choice((2, 3)), rng.randint(3, 12)
+        lo = 4 * k * d ** 3
+        a = rng.randint(lo, lo + rng.choice((2 * 10 ** 4, 10 ** 7, 10 ** 12)))
+        if gcd(a, d) == 1:
+            S = sq.ApSemigroup(a, d, k)
+            assert sq.bound_B(S) >= isqrt(sq.ap_frobenius(S)) ** 2, (a, d, k)
 
 
 def test_lambda_profile_rejects_d_below_1():

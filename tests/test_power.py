@@ -157,6 +157,15 @@ def test_square_oracle_matches_sum_count_large_a(a, d, k):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.integers(10 ** 6, 10 ** 9), st.integers(1, 40), st.integers(1, 4))
+def test_square_oracle_matches_sum_count_across_the_hand_off(a, d, k):
+    # scans of about 500 to 20,000 roots, so the recurrence scan hands off
+    # to the packed one on some and not on others
+    assume(gcd(a, d) == 1)
+    _square_scan_matches_sum_count(a, d, k)
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(2 ** 30 - 10 ** 6, 2 ** 30 + 10 ** 6), st.integers(1, 40))
 @example(2 ** 30 - 1, 1)
 @example(2 ** 30, 1)
@@ -190,6 +199,31 @@ def test_square_oracle_answer_on_a_block_edge(a, d, k, edge):
         assert (top - root + 1) % block == 0 or root == 1
 
 
+@pytest.mark.parametrize("a,d,k,step,lane", [
+    (2267418, 11, 3, None, None),
+    (1894981, 14, 2, 0, 0), (1427177, 22, 4, 0, 63),
+    (2984002, 33, 2, 22, 0), (2625045, 26, 4, 19, 63),
+    # a second root of the same step is missing too, below the answer
+    (292268, 29, 4, 0, 0), (2380345, 2, 4, 4, 0),
+    # (a + kd)*y <= k*(root + 1)**2: a bound taken at the step's
+    # second-lowest root would skip the answer
+    (983453, 7, 3, 0, 63), (1224127, 14, 3, 4, 63),
+])
+def test_square_oracle_answer_at_a_packed_lane(a, d, k, step, lane):
+    # the recurrence scan tests _HANDOFF blocks root by root, then the
+    # packed scan tests _LANES roots per step; step None is the last root
+    # before the hand-off.  Each answer was found by search and checked
+    # against naive.ap_power_root.
+    root, top = _square_scan_matches_sum_count(a, d, k)
+    scalar = sq.power._HANDOFF * sq.power._BLOCK
+    if step is None:
+        assert top - root + 1 == scalar
+        assert _scan_route(a, d, k) == ("recurrence", False)
+    else:
+        assert divmod(top - root - scalar, sq.power._LANES) == (step, lane)
+        assert _scan_route(a, d, k) == ("recurrence", True)
+
+
 @pytest.mark.parametrize("a,d", [(7, 5), (3, 7), (9, 8), (11, 13), (2, 9), (13, 40)])
 def test_square_oracle_scan_starting_above_a(a, d):
     # top > a, so the scan's first offset a - top is negative
@@ -212,21 +246,23 @@ def test_square_oracle_steps_are_pinned():
     (2538633157, 5, 1, 71254), (10168757624, 7, 2, 94086), (30218068790, 9, 3, 142981),
 ])
 def test_square_oracle_steps_are_pinned_past_2_30(a, d, k, steps):
-    # k = 1 past a = 2**30 and k >= 2 scan on the recurrence; each pin was
-    # checked against naive.ap_power_root
+    # k = 1 past a = 2**30 and k >= 2 scan on the recurrence, then on the
+    # packed lanes; each pin was checked against naive.ap_power_root
     assert sq.power_frobenius_oracle(sq.ApSemigroup(a, d, k), 2).steps == steps
 
 
 def _scan_route(a, d, k):
-    # which square loop of _ap_scan ran: the source lines it executed
-    code = sq.power._ap_scan.__code__
-    ran = set()
+    # (loop, packed): which square loop of _ap_scan ran, from the source
+    # lines it executed, and whether it handed off to _packed_scan
+    scan, packed = sq.power._ap_scan.__code__, sq.power._packed_scan.__code__
+    ran = {scan: set(), packed: set()}
 
     def trace(frame, event, arg):
-        if frame.f_code is not code:
+        lines = ran.get(frame.f_code)
+        if lines is None:
             return None
         if event == "line":
-            ran.add(frame.f_lineno)
+            lines.add(frame.f_lineno)
         return trace
 
     old = sys.gettrace()
@@ -236,21 +272,26 @@ def _scan_route(a, d, k):
     finally:
         sys.settrace(old)
     lines, first = inspect.getsourcelines(sq.power._ap_scan)
-    text = {lines[n - first].strip() for n in ran}
+    text = {lines[n - first].strip() for n in ran[scan]}
     offset, recurrence = "w += 2" in text, "y -= g" in text
     assert offset != recurrence, text
-    return "offset" if offset else "recurrence"
+    assert recurrence or not ran[packed]
+    return ("offset" if offset else "recurrence"), bool(ran[packed])
 
 
 @pytest.mark.parametrize("a,d,k,route", [
     (2 ** 30 - 1, 1, 1, "offset"), (2 ** 30 - 3, 40, 1, "offset"), (1000003, 7, 1, "offset"),
     (2 ** 30, 1, 1, "recurrence"), (2 ** 30 + 1, 37, 1, "recurrence"),
     (1009, 3, 2, "recurrence"), (1000003, 7, 3, "recurrence"), (2 ** 30 - 1, 1, 4, "recurrence"),
+    (2538633157, 5, 1, "recurrence"), (10168757624, 7, 2, "recurrence"),
+    (30218068790, 9, 3, "recurrence"),
 ])
 def test_square_scan_route(a, d, k, route):
     # the sweeps (k = 1, a < 2**30) keep the offset scan; the rest step
-    # the recurrence, which costs less per root there
-    assert _scan_route(a, d, k) == route
+    # the recurrence, which costs less per root there, and hand off to
+    # the packed scan once 512 roots held no answer
+    root, top = sq.power._ap_scan(a, d, k, 2)
+    assert _scan_route(a, d, k) == (route, route == "recurrence" and top - root + 1 > 512)
 
 
 @pytest.mark.parametrize("power", [2, 3])
