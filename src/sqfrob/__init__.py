@@ -17,19 +17,17 @@ _HOME = {
          "mu_j", "square_in_ap"),
         "arith"),
     **dict.fromkeys(
-        ("BadResidue", "ClosedFormAnswer", "EvenInput", "floor_sqrt2",
-         "floor_sqrt3", "sq_frob_d1", "sq_frob_d2", "sq_frob_d3", "sq_frob_d4",
-         "sq_frob_d5", "load_table1", "load_table2", "square_frobenius_closed",
-         "u", "u_index_set_member"),
+        ("BadResidue", "ClosedFormAnswer", "EvenInput", "sq_frob_d1", "sq_frob_d2",
+         "load_table1", "load_table2", "square_frobenius_closed", "u",
+         "u_index_set_member"),
         "closedform"),
     **dict.fromkeys(
         ("AperyTable", "EmptyGenerators", "FullSemigroup", "NegativeInput",
          "NonCoprime", "NotAGenerator", "NumericalSemigroup", "SemigroupError",
-         "ZeroGenerator", "apery_set", "contains", "frobenius", "gaps", "genus",
-         "make_semigroup"),
+         "ZeroGenerator", "apery_set", "contains", "frobenius", "gaps", "genus"),
         "core"),
     **dict.fromkeys(
-        ("PowerFrobResult", "isqrt", "kth_root_floor", "power_frobenius_oracle",
+        ("PowerFrobResult", "kth_root_floor", "power_frobenius_oracle",
          "power_min_oracle"),
         "power"),
     **dict.fromkeys(

@@ -121,16 +121,6 @@ def u_index_set_member(b: int, family: str) -> bool:
         n += 1
 
 
-def floor_sqrt2(b: int) -> int:
-    """floor(b * sqrt(2)), exactly."""
-    return isqrt(2 * b * b)
-
-
-def floor_sqrt3(b: int) -> int:
-    """floor(b * sqrt(3)), exactly."""
-    return isqrt(3 * b * b)
-
-
 class ClosedFormAnswer(namedtuple("ClosedFormAnswer", "a d value root branch b",
                                   defaults=(None,)), CanonicalJson):
     """Square Frobenius number of <a, a+d> with the branch that produced it.
@@ -164,21 +154,6 @@ def _sq_frob_ap(a, d):
     return ClosedFormAnswer(a, d, root * root, root, branch, mu)
 
 
-def sq_frob_d3(a: int) -> ClosedFormAnswer:
-    """Square Frobenius number of <a, a+3>."""
-    return _sq_frob_ap(a, 3)
-
-
-def sq_frob_d4(a: int) -> ClosedFormAnswer:
-    """Square Frobenius number of <a, a+4>."""
-    return _sq_frob_ap(a, 4)
-
-
-def sq_frob_d5(a: int) -> ClosedFormAnswer:
-    """Square Frobenius number of <a, a+5>."""
-    return _sq_frob_ap(a, 5)
-
-
 # The d = 1, 2 rule has one row per (d, kind): kind "square" looks at t = a,
 # "adjacent" at t = a + d, and the u-index family is f"d{d}_{kind}".  A row's
 # value is its off-rule member (c, root, branch), which the rule would miss.
@@ -205,10 +180,10 @@ def _sq_frob_small(a, d):
             elif u_index_set_member(c, f"d{d}_{kind}"):
                 # the largest s <= c*sqrt(3) with s = 1 mod d: for d = 2 an
                 # even floor(c*sqrt(3)) is one too large (c = 1393 on)
-                s = floor_sqrt3(c)
+                s = isqrt(3 * c * c)
                 root, branch = a - s + (s - 1) % d, f"{kind}-sqrt3"
             else:
-                root, branch = a - floor_sqrt2(c) // d * d, f"{kind}-sqrt2"
+                root, branch = a - isqrt(2 * c * c) // d * d, f"{kind}-sqrt2"
             break
     else:
         s = isqrt(a)

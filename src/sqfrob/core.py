@@ -118,11 +118,6 @@ class NumericalSemigroup:
         return cls(json.loads(text))
 
 
-def make_semigroup(generators) -> NumericalSemigroup:
-    """Validate and normalize a generator list into a semigroup."""
-    return NumericalSemigroup(generators)
-
-
 class AperyTable(namedtuple("AperyTable", "modulus entries")):
     """entries[r] is the least semigroup element congruent to r mod modulus.
 

@@ -45,13 +45,6 @@ from .arith import ApSemigroup, _roberts, ap_contains, decompose
 from .core import CanonicalJson, NegativeInput, apery_set, contains, frobenius
 
 
-def isqrt(n: int) -> int:
-    """Floor square root, exact for any size of integer."""
-    if n < 0:
-        raise NegativeInput(f"square root of negative {n}")
-    return math.isqrt(n)
-
-
 def kth_root_floor(n: int, k: int) -> int:
     """Largest m with m**k <= n, exact (no floating point)."""
     if n < 0:

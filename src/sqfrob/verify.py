@@ -89,9 +89,12 @@ class ExceptionReport(CanonicalJson):
 class SweepReport(CanonicalJson):
     """Outcome of one verification sweep; empty mismatches means it passed.
 
-    wall_time and steps, the oracle roots scanned, are informational only
-    and stay out of the canonical JSON so equal sweeps serialize to identical
-    bytes.  The span renders under the JSON key "range".
+    wall_time, steps (the oracle roots scanned) and vacuous are
+    informational only and stay out of the canonical JSON so equal sweeps
+    serialize to identical bytes.  vacuous counts, in a bound sweep, the
+    checked a whose bound_B is at least top^2 for the root top the oracle
+    scan starts at, isqrt of the Frobenius number: there oracle <= bound_B
+    cannot fail.  The span renders under the JSON key "range".
     """
 
     scope: str
@@ -101,6 +104,7 @@ class SweepReport(CanonicalJson):
     wall_time: float = 0.0
     extra: dict = field(default_factory=dict)
     steps: int = 0
+    vacuous: int = 0
 
     @property
     def passed(self) -> bool:
@@ -119,13 +123,13 @@ class SweepReport(CanonicalJson):
         return obj
 
     @classmethod
-    def from_parts(cls, scope, span, parts, t0, mismatches=None, extra=None):
+    def from_parts(cls, scope, span, parts, t0, mismatches=None, extra=None, vacuous=0):
         """Merge chunk results (checked, mismatches, ..., steps) in input order."""
         if mismatches is None:
             mismatches = [m for p in parts for m in p[1]]
         return cls(scope=scope, span=span, checked=sum(p[0] for p in parts),
                    mismatches=mismatches, wall_time=time.perf_counter() - t0,
-                   extra=extra or {}, steps=sum(p[-1] for p in parts))
+                   extra=extra or {}, steps=sum(p[-1] for p in parts), vacuous=vacuous)
 
 
 def _oracle_and_bound(a, d, k):
@@ -214,7 +218,7 @@ def verify_bound_equality(d, a_lo, a_hi, jobs=None) -> SweepReport:
 
 
 def _bound_upper_chunk(d, k, firsts):
-    strong_checked = weak_checked = steps = 0
+    strong_checked = weak_checked = vacuous = steps = 0
     strong_viol, weak_viol = [], []
     strong_floor = 4 * k * d ** 3 - k * d
     for a in firsts:
@@ -231,10 +235,12 @@ def _bound_upper_chunk(d, k, firsts):
         if strong:
             strong_checked += 1
             strong_viol += viol
+            # the scan ran from top = root + steps - 1 down to the root
+            vacuous += bb >= (isqrt(got) + n - 1) ** 2
         if weak:
             weak_checked += 1
             weak_viol += viol
-    return strong_checked, strong_viol, weak_checked, weak_viol, steps
+    return strong_checked, strong_viol, weak_checked, weak_viol, vacuous, steps
 
 
 def verify_theorem_bound(d, k, a_lo, a_hi, jobs=None) -> SweepReport:
@@ -242,7 +248,8 @@ def verify_theorem_bound(d, k, a_lo, a_hi, jobs=None) -> SweepReport:
 
     Mismatches cover the guaranteed hypothesis a + kd >= 4kd^3.  Results
     under the weaker per-profile hypothesis are reported in extra only; that
-    condition is not asserted.
+    condition is not asserted.  The report's vacuous counts the checked a
+    where the check cannot fail: every one measured for k >= 2, d <= 12.
     """
     if d < 3:
         raise DTooSmall(f"the square bound needs d >= 3, got {d}")
@@ -252,7 +259,8 @@ def verify_theorem_bound(d, k, a_lo, a_hi, jobs=None) -> SweepReport:
     return SweepReport.from_parts(
         f"square bound, d={d} k={k}", (a_lo, a_hi), parts, t0,
         extra={"weak_hypothesis_checked": sum(p[2] for p in parts),
-               "weak_hypothesis_violations": [m for p in parts for m in p[3]]})
+               "weak_hypothesis_violations": [m for p in parts for m in p[3]]},
+        vacuous=sum(p[4] for p in parts))
 
 
 def _conjecture_chunk(which, max_a, roots):

@@ -114,7 +114,7 @@ def test_criterion_7_property_suites():
                 continue
             for k in range(1, 5):
                 S = sq.ApSemigroup(a, d, k)
-                G = sq.make_semigroup(S.generators)
+                G = sq.NumericalSemigroup(S.generators)
                 f = sq.ap_frobenius(S)
                 assert f == sq.frobenius(G), (a, d, k)
                 for value in range(f + a + 1):

@@ -85,7 +85,7 @@ def test_ap_agrees_with_generic_semigroup():
     # membership and Frobenius number against the Apery-table implementation
     for a, d, k in coprime_grid(18, 5, 3):
         S = sq.ApSemigroup(a, d, k)
-        G = sq.make_semigroup(S.generators)
+        G = sq.NumericalSemigroup(S.generators)
         f = sq.ap_frobenius(S)
         assert f == sq.frobenius(G), (a, d, k)
         for value in range(0, f + a + 1):
@@ -178,6 +178,33 @@ def test_square_in_ap_equals_membership():
         for i in range(-k * d, a + 1):
             want = sq.ap_contains(S, (a - i) ** 2)
             assert sq.square_in_ap(S, i) == want, (a, d, k, i)
+
+
+@st.composite
+def lemma_inputs(draw):
+    a = draw(st.integers(2, 10 ** 12))
+    d = draw(st.integers(1, 40).filter(lambda d: gcd(a, d) == 1))
+    k = draw(st.integers(1, 4))
+    # mostly -3a..3a, sometimes far outside it on either side
+    i = draw(st.one_of(st.integers(-3 * a, 3 * a), st.integers(3 * a + 1, 10 ** 30),
+                       st.integers(-10 ** 30, -3 * a - 1)))
+    return a, d, k, i
+
+
+@settings(max_examples=500, deadline=None)
+@given(lemma_inputs())
+@example((2, 1, 1, 0))
+@example((10 ** 12 - 1, 40, 4, -160))  # i = -kd, the bound's least offset
+@example((10 ** 12 - 1, 40, 4, 3 * 10 ** 12 - 3))
+def test_square_in_ap_is_the_membership_lemma(case):
+    """The membership lemma behind B: (a - i)^2 lies in <a, a+d, ..., a+kd>
+    exactly when (i + kd)^2 <= ((q + k)d - lam)(a + kd), with lam the
+    correction of i mod d and q = (i^2 + lam*a) // (a*d).  bound_B reads its
+    edge off that inequality; ap_contains decides the same membership from
+    the decomposition alone."""
+    a, d, k, i = case
+    S = sq.ApSemigroup(a, d, k)
+    assert sq.square_in_ap(S, i) == sq.ap_contains(S, (a - i) ** 2), case
 
 
 def test_mu_j_examples():

@@ -38,40 +38,34 @@ def test_u_index_set_member(family, members, non_members):
         assert not sq.u_index_set_member(b, family), (family, b)
 
 
-def test_floor_helpers():
-    assert sq.floor_sqrt2(2) == 2
-    assert sq.floor_sqrt2(3) == 4
-    assert sq.floor_sqrt3(2) == 3
-
-
 def test_sq_frob_d3_examples():
-    assert sq.sq_frob_d3(10).value == 81
-    assert sq.sq_frob_d3(106).value == 98 ** 2
-    assert sq.sq_frob_d3(7).value == 36
-    assert sq.sq_frob_d3(2).value == 1
+    assert sq.square_frobenius_closed(10, 3).value == 81
+    assert sq.square_frobenius_closed(106, 3).value == 98 ** 2
+    assert sq.square_frobenius_closed(7, 3).value == 36
+    assert sq.square_frobenius_closed(2, 3).value == 1
     with pytest.raises(sq.BadResidue):
-        sq.sq_frob_d3(9)
+        sq.square_frobenius_closed(9, 3)
 
 
 def test_sq_frob_d4_examples():
-    assert sq.sq_frob_d4(5).value == 16
-    assert sq.sq_frob_d4(21).value == 324
-    assert sq.sq_frob_d4(7).value == 16
+    assert sq.square_frobenius_closed(5, 4).value == 16
+    assert sq.square_frobenius_closed(21, 4).value == 324
+    assert sq.square_frobenius_closed(7, 4).value == 16
     with pytest.raises(sq.BadResidue):
-        sq.sq_frob_d4(8)
+        sq.square_frobenius_closed(8, 4)
 
 
 def test_sq_frob_d5_examples():
-    assert sq.sq_frob_d5(11).value == 100
-    assert sq.sq_frob_d5(6).value == 49
+    assert sq.square_frobenius_closed(11, 5).value == 100
+    assert sq.square_frobenius_closed(6, 5).value == 49
     with pytest.raises(sq.BadResidue):
-        sq.sq_frob_d5(10)
+        sq.square_frobenius_closed(10, 5)
 
 
 def test_sq_frob_d5_exceptions():
     expect = {2: 1, 4: 1, 13: 100, 27: 441, 32: 676}
     for a, value in expect.items():
-        ans = sq.sq_frob_d5(a)
+        ans = sq.square_frobenius_closed(a, 5)
         assert ans.value == value
         assert ans.branch == "exception"
         assert ans.value == oracle(a, 5)
@@ -196,7 +190,7 @@ def test_dispatcher():
 
 
 def test_answer_json():
-    ans = sq.sq_frob_d3(10)
+    ans = sq.square_frobenius_closed(10, 3)
     assert ans.to_json() == '{"a":10,"d":3,"value":81,"root":9,"branch":"3b+1"}'
 
 

@@ -21,30 +21,30 @@ from sqfrob import core
     ([5, 5, 6], (5, 6)),
 ])
 def test_make_semigroup_normalizes(raw, expected):
-    assert sq.make_semigroup(raw).generators == expected
+    assert sq.NumericalSemigroup(raw).generators == expected
 
 
 def test_make_semigroup_errors():
     with pytest.raises(sq.EmptyGenerators):
-        sq.make_semigroup([])
+        sq.NumericalSemigroup([])
     with pytest.raises(sq.ZeroGenerator):
-        sq.make_semigroup([0, 3])
+        sq.NumericalSemigroup([0, 3])
     with pytest.raises(sq.ZeroGenerator):
-        sq.make_semigroup([-2, 3])
+        sq.NumericalSemigroup([-2, 3])
     with pytest.raises(sq.NonCoprime):
-        sq.make_semigroup([4, 6])
+        sq.NumericalSemigroup([4, 6])
     with pytest.raises(sq.NonCoprime):
-        sq.make_semigroup([5])
+        sq.NumericalSemigroup([5])
 
 
 def test_semigroup_equality_and_json():
-    S = sq.make_semigroup([4, 7])
-    assert S == sq.make_semigroup([7, 4, 11])
+    S = sq.NumericalSemigroup([4, 7])
+    assert S == sq.NumericalSemigroup([7, 4, 11])
     assert S.to_json() == "[4,7]"
     assert sq.NumericalSemigroup.from_json("[4,7]") == S
     assert S.multiplicity == 4
     assert not S.is_full
-    assert sq.make_semigroup([1]).is_full
+    assert sq.NumericalSemigroup([1]).is_full
 
 
 def test_every_result_serializes_through_one_canonical_form():
@@ -64,15 +64,15 @@ def test_every_result_serializes_through_one_canonical_form():
 
 
 def test_apery_examples():
-    assert sq.apery_set(sq.make_semigroup([4, 7])).entries == (0, 21, 14, 7)
-    assert sq.apery_set(sq.make_semigroup([2, 3]), 2).entries == (0, 3)
-    assert sq.apery_set(sq.make_semigroup([1]), 1).entries == (0,)
-    S = sq.make_semigroup([4, 7])
+    assert sq.apery_set(sq.NumericalSemigroup([4, 7])).entries == (0, 21, 14, 7)
+    assert sq.apery_set(sq.NumericalSemigroup([2, 3]), 2).entries == (0, 3)
+    assert sq.apery_set(sq.NumericalSemigroup([1]), 1).entries == (0,)
+    S = sq.NumericalSemigroup([4, 7])
     assert sq.apery_set(S, 7).modulus == 7
     with pytest.raises(sq.NotAGenerator):
         sq.apery_set(S, 5)
     with pytest.raises(sq.NotAGenerator):
-        sq.apery_set(sq.make_semigroup([3, 6, 7]), 6)  # 6 is redundant, dropped
+        sq.apery_set(sq.NumericalSemigroup([3, 6, 7]), 6)  # 6 is redundant, dropped
 
 
 def test_far_redundant_generator_is_dropped_quickly():
@@ -105,14 +105,14 @@ SAMPLE_GENS = [
 
 @pytest.mark.parametrize("gens", SAMPLE_GENS)
 def test_apery_matches_naive(gens):
-    S = sq.make_semigroup(gens)
+    S = sq.NumericalSemigroup(gens)
     for m in S.generators:
         assert list(sq.apery_set(S, m).entries) == naive.apery(S.generators, m)
 
 
 @pytest.mark.parametrize("gens", SAMPLE_GENS)
 def test_apery_structure(gens):
-    S = sq.make_semigroup(gens)
+    S = sq.NumericalSemigroup(gens)
     table = sq.apery_set(S)
     m = table.modulus
     assert table.entries[0] == 0
@@ -121,16 +121,16 @@ def test_apery_structure(gens):
 
 
 def test_frobenius_examples():
-    assert sq.frobenius(sq.make_semigroup([5, 6])) == 19
-    assert sq.frobenius(sq.make_semigroup([4, 7])) == 17
-    assert sq.frobenius(sq.make_semigroup([2, 3])) == 1
-    assert sq.frobenius(sq.make_semigroup([6, 10, 15])) == 29
+    assert sq.frobenius(sq.NumericalSemigroup([5, 6])) == 19
+    assert sq.frobenius(sq.NumericalSemigroup([4, 7])) == 17
+    assert sq.frobenius(sq.NumericalSemigroup([2, 3])) == 1
+    assert sq.frobenius(sq.NumericalSemigroup([6, 10, 15])) == 29
     with pytest.raises(sq.FullSemigroup):
-        sq.frobenius(sq.make_semigroup([1]))
+        sq.frobenius(sq.NumericalSemigroup([1]))
 
 
 def test_contains_examples():
-    S = sq.make_semigroup([4, 7])
+    S = sq.NumericalSemigroup([4, 7])
     assert sq.contains(S, 0)
     assert sq.contains(S, 11)
     assert not sq.contains(S, 10)
@@ -141,12 +141,12 @@ def test_contains_examples():
 
 
 def test_gaps_and_genus():
-    S = sq.make_semigroup([4, 7])
+    S = sq.NumericalSemigroup([4, 7])
     assert sq.gaps(S) == [1, 2, 3, 5, 6, 9, 10, 13, 17]
     assert sq.genus(S) == 9
-    assert sq.gaps(sq.make_semigroup([2, 3])) == [1]
-    assert sq.gaps(sq.make_semigroup([1])) == []
-    assert sq.genus(sq.make_semigroup([1])) == 0
+    assert sq.gaps(sq.NumericalSemigroup([2, 3])) == [1]
+    assert sq.gaps(sq.NumericalSemigroup([1])) == []
+    assert sq.genus(sq.NumericalSemigroup([1])) == 0
 
 
 def test_genus_lists_no_gap(monkeypatch):
@@ -155,7 +155,7 @@ def test_genus_lists_no_gap(monkeypatch):
 
     monkeypatch.setattr(core, "gaps", refuse)
     # Sylvester: <p, q> has (p-1)(q-1)/2 gaps, here about 5*10^11 of them
-    assert sq.genus(sq.make_semigroup([1000, 10**9 + 1])) == 999 * 10**9 // 2
+    assert sq.genus(sq.NumericalSemigroup([1000, 10**9 + 1])) == 999 * 10**9 // 2
 
 
 def test_two_generator_closed_form_exhaustive():
@@ -164,12 +164,12 @@ def test_two_generator_closed_form_exhaustive():
         for q in range(p + 1, 61):
             if gcd(p, q) != 1:
                 continue
-            assert sq.frobenius(sq.make_semigroup([p, q])) == p * q - p - q
+            assert sq.frobenius(sq.NumericalSemigroup([p, q])) == p * q - p - q
 
 
 def test_contains_matches_naive():
     for gens in SAMPLE_GENS:
-        S = sq.make_semigroup(gens)
+        S = sq.NumericalSemigroup(gens)
         if S.is_full:
             continue
         f = sq.frobenius(S)
@@ -180,7 +180,7 @@ def test_contains_matches_naive():
 
 def test_everything_above_frobenius_is_member():
     for gens in SAMPLE_GENS:
-        S = sq.make_semigroup(gens)
+        S = sq.NumericalSemigroup(gens)
         f = sq.frobenius(S)
         assert not sq.contains(S, f)
         assert all(sq.contains(S, f + t) for t in range(1, 2 * S.multiplicity + 1))
@@ -217,7 +217,7 @@ def shared_factor_lists(draw):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(gen_lists(), shared_factor_lists()))
 def test_whole_apery_tables_match_naive(gens):
-    S = sq.make_semigroup(gens)
+    S = sq.NumericalSemigroup(gens)
     if S.is_full:
         return
     for g in S.generators:
@@ -243,14 +243,14 @@ def test_apery_build_holds_no_extra_table_sized_list():
 @settings(max_examples=60, deadline=None)
 @given(gen_lists())
 def test_frobenius_matches_naive(gens):
-    S = sq.make_semigroup(gens)
+    S = sq.NumericalSemigroup(gens)
     assert sq.frobenius(S) == naive.frobenius(gens)
 
 
 @settings(max_examples=60, deadline=None)
 @given(gen_lists())
 def test_minimal_generators_are_minimal(gens):
-    S = sq.make_semigroup(gens)
+    S = sq.NumericalSemigroup(gens)
     kept = S.generators
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
@@ -263,7 +263,7 @@ def test_minimal_generators_are_minimal(gens):
 @settings(max_examples=60, deadline=None)
 @given(gen_lists())
 def test_minimal_generators_generate_every_input(gens):
-    kept = sq.make_semigroup(gens).generators
+    kept = sq.NumericalSemigroup(gens).generators
     reach = naive.reachable(kept, max(gens))
     assert all(reach[g] for g in gens), (gens, kept)
 
@@ -271,7 +271,7 @@ def test_minimal_generators_generate_every_input(gens):
 @settings(max_examples=60, deadline=None)
 @given(gen_lists())
 def test_genus_matches_gap_count(gens):
-    S = sq.make_semigroup(gens)
+    S = sq.NumericalSemigroup(gens)
     reach = naive.reachable(gens, naive.frobenius(gens))
     assert sq.genus(S) == len(sq.gaps(S)) == reach[1:].count(0), gens
 

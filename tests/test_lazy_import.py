@@ -16,7 +16,7 @@ import sqfrob
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sqfrob.__file__)))
 
 # dir(sqfrob) without its dunders, as it was when __init__ imported every
-# submodule eagerly; each name must still resolve
+# submodule eagerly, less the aliases below; each name must still resolve
 PUBLIC = [
     "ApSemigroup", "AperyTable", "BadResidue", "ClosedFormAnswer", "DTooSmall",
     "EmptyGenerators", "EvenInput", "ExceptionRecord", "ExceptionReport",
@@ -24,15 +24,17 @@ PUBLIC = [
     "NotAGenerator", "NumericalSemigroup", "PowerFrobResult", "SemigroupError",
     "SweepReport", "ZeroGenerator", "ap_contains", "ap_frobenius", "apery_set",
     "arith", "bound_B", "bound_edge", "closedform", "compare_table1", "contains",
-    "core", "decompose", "exception_set", "floor_sqrt2", "floor_sqrt3",
-    "frobenius", "gaps", "genus", "isqrt", "kth_root_floor",
-    "lambda_profile", "load_table1", "load_table2", "make_semigroup", "mu_j",
+    "core", "decompose", "exception_set", "frobenius", "gaps", "genus",
+    "kth_root_floor", "lambda_profile", "load_table1", "load_table2", "mu_j",
     "power", "power_frobenius_oracle", "power_min_oracle", "reproduce_table2",
-    "sq_frob_d1", "sq_frob_d2", "sq_frob_d3", "sq_frob_d4", "sq_frob_d5",
-    "square_frobenius_closed", "square_in_ap", "u", "u_index_set_member", "verify",
-    "verify_bound_equality", "verify_conjectures", "verify_min_power_theorem",
-    "verify_theorem_bound",
+    "sq_frob_d1", "sq_frob_d2", "square_frobenius_closed", "square_in_ap", "u",
+    "u_index_set_member", "verify", "verify_bound_equality", "verify_conjectures",
+    "verify_min_power_theorem", "verify_theorem_bound",
 ]
+# one-line aliases removed from the API at 0.1.0: NumericalSemigroup(g),
+# square_frobenius_closed(a, d) and math.isqrt take their place
+REMOVED = ["floor_sqrt2", "floor_sqrt3", "isqrt", "make_semigroup",
+           "sq_frob_d3", "sq_frob_d4", "sq_frob_d5"]
 SUBMODULES = ["arith", "closedform", "core", "power", "verify"]
 
 
@@ -110,3 +112,10 @@ def test_public_names_are_the_home_modules_objects():
     star = {}
     exec("from sqfrob import *", star)
     assert sorted(k for k in star if k != "__builtins__") == PUBLIC
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_alias_raises_attribute_error(name):
+    assert name not in sqfrob.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(sqfrob, name)

@@ -10,14 +10,6 @@ import naive
 import sqfrob as sq
 
 
-def test_isqrt():
-    assert sq.isqrt(109) == 10
-    assert sq.isqrt(100) == 10
-    assert sq.isqrt(0) == 0
-    with pytest.raises(sq.NegativeInput):
-        sq.isqrt(-1)
-
-
 @pytest.mark.parametrize("n,k,want", [
     (109, 2, 10), (36, 2, 6), (80, 3, 4), (81, 3, 4), (125, 3, 5),
     (1, 5, 1), (0, 3, 0), (7, 1, 7), (2 ** 90, 9, 1024),
@@ -41,20 +33,20 @@ def test_kth_root_floor_exact(n, k):
 
 
 def test_power_frobenius_oracle_examples():
-    res = sq.power_frobenius_oracle(sq.make_semigroup([13, 18]), 2)
+    res = sq.power_frobenius_oracle(sq.NumericalSemigroup([13, 18]), 2)
     assert (res.k, res.root, res.value, res.method) == (2, 10, 100, "oracle")
     assert res.to_json() == '{"k":2,"root":10,"value":100,"method":"oracle"}'
-    assert sq.power_frobenius_oracle(sq.make_semigroup([4, 7]), 2).value == 9
-    assert sq.power_frobenius_oracle(sq.make_semigroup([2, 3]), 2).value == 1
-    assert sq.power_frobenius_oracle(sq.make_semigroup([2, 3]), 3).value == 1
-    assert sq.power_frobenius_oracle(sq.make_semigroup([3, 5]), 2).value == 4
+    assert sq.power_frobenius_oracle(sq.NumericalSemigroup([4, 7]), 2).value == 9
+    assert sq.power_frobenius_oracle(sq.NumericalSemigroup([2, 3]), 2).value == 1
+    assert sq.power_frobenius_oracle(sq.NumericalSemigroup([2, 3]), 3).value == 1
+    assert sq.power_frobenius_oracle(sq.NumericalSemigroup([3, 5]), 2).value == 4
 
 
 def test_power_frobenius_oracle_errors():
     with pytest.raises(sq.FullSemigroup):
-        sq.power_frobenius_oracle(sq.make_semigroup([1]), 2)
+        sq.power_frobenius_oracle(sq.NumericalSemigroup([1]), 2)
     with pytest.raises(ValueError):
-        sq.power_frobenius_oracle(sq.make_semigroup([4, 7]), 1)
+        sq.power_frobenius_oracle(sq.NumericalSemigroup([4, 7]), 1)
 
 
 def test_power_frobenius_oracle_ap_route_matches_generic():
@@ -64,7 +56,7 @@ def test_power_frobenius_oracle_ap_route_matches_generic():
                 continue
             for k in range(1, 4):
                 S = sq.ApSemigroup(a, d, k)
-                G = sq.make_semigroup(S.generators)
+                G = sq.NumericalSemigroup(S.generators)
                 for power in (2, 3):
                     assert (sq.power_frobenius_oracle(S, power).value
                             == sq.power_frobenius_oracle(G, power).value), (a, d, k, power)
@@ -75,7 +67,7 @@ def test_power_frobenius_oracle_ap_route_matches_generic():
     ([3, 17], 2), ([9, 10], 2), ([4, 7], 3), ([5, 6], 3), ([7, 11, 13], 4),
 ])
 def test_power_frobenius_oracle_matches_naive(gens, power):
-    got = sq.power_frobenius_oracle(sq.make_semigroup(gens), power)
+    got = sq.power_frobenius_oracle(sq.NumericalSemigroup(gens), power)
     assert got.value == naive.power_frob(gens, power)
     assert got.value == got.root ** power
 
@@ -86,7 +78,7 @@ def test_power_frobenius_witness_disproves_membership():
     assert 13 * x + 5 * y == res.value
     assert x < 0 or y > 1 * x
 
-    res = sq.power_frobenius_oracle(sq.make_semigroup([13, 18]), 2)
+    res = sq.power_frobenius_oracle(sq.NumericalSemigroup([13, 18]), 2)
     assert res.value < res.witness["apery_entry"]
     assert res.value % 13 == res.witness["residue"]
 
@@ -297,7 +289,7 @@ def test_square_scan_route(a, d, k, route):
 @pytest.mark.parametrize("power", [2, 3])
 def test_oracle_steps_stay_out_of_json(power):
     S = sq.ApSemigroup(13, 5, 1)
-    G = sq.make_semigroup(S.generators)
+    G = sq.NumericalSemigroup(S.generators)
     ap, generic = sq.power_frobenius_oracle(S, power), sq.power_frobenius_oracle(G, power)
     top = sq.kth_root_floor(sq.ap_frobenius(S), power)
     for res in (ap, generic):
@@ -308,13 +300,13 @@ def test_oracle_steps_stay_out_of_json(power):
 
 
 def test_power_min_oracle_examples():
-    assert sq.power_min_oracle(sq.make_semigroup([4, 9]), 2).value == 4
-    assert sq.power_min_oracle(sq.make_semigroup([5, 7, 9]), 2).value == 9
-    assert sq.power_min_oracle(sq.make_semigroup([2, 3]), 2).value == 4
-    assert sq.power_min_oracle(sq.make_semigroup([3, 7]), 2).value == 9
-    assert sq.power_min_oracle(sq.make_semigroup([1]), 2).value == 1
+    assert sq.power_min_oracle(sq.NumericalSemigroup([4, 9]), 2).value == 4
+    assert sq.power_min_oracle(sq.NumericalSemigroup([5, 7, 9]), 2).value == 9
+    assert sq.power_min_oracle(sq.NumericalSemigroup([2, 3]), 2).value == 4
+    assert sq.power_min_oracle(sq.NumericalSemigroup([3, 7]), 2).value == 9
+    assert sq.power_min_oracle(sq.NumericalSemigroup([1]), 2).value == 1
     with pytest.raises(ValueError):
-        sq.power_min_oracle(sq.make_semigroup([4, 9]), 1)
+        sq.power_min_oracle(sq.NumericalSemigroup([4, 9]), 1)
 
 
 @pytest.mark.parametrize("gens,power", [
@@ -322,7 +314,7 @@ def test_power_min_oracle_examples():
     ([3, 5], 3), ([8, 9], 3), ([11, 13], 4),
 ])
 def test_power_min_oracle_matches_naive(gens, power):
-    S = sq.make_semigroup(gens)
+    S = sq.NumericalSemigroup(gens)
     assert sq.power_min_oracle(S, power).value == naive.min_power(gens, power)
 
 
@@ -345,7 +337,7 @@ def test_power_min_oracle_ap_route_matches_naive():
 def test_min_power_between_multiplicity_and_its_kth_power():
     # smallest k-power in S lies in [multiplicity, multiplicity**k]
     for gens in ([4, 9], [5, 7, 9], [7, 11, 13], [13, 18], [6, 10, 15], [9, 10]):
-        S = sq.make_semigroup(gens)
+        S = sq.NumericalSemigroup(gens)
         s = S.multiplicity
         for k in range(2, 5):
             v = sq.power_min_oracle(S, k).value
@@ -353,5 +345,5 @@ def test_min_power_between_multiplicity_and_its_kth_power():
 
 
 def test_result_json_shape():
-    res = sq.power_min_oracle(sq.make_semigroup([4, 9]), 2)
+    res = sq.power_min_oracle(sq.NumericalSemigroup([4, 9]), 2)
     assert res.to_dict() == {"k": 2, "root": 2, "value": 4, "method": "oracle"}

@@ -65,6 +65,19 @@ def test_verify_theorem_bound_counts_and_passes():
     assert rep.extra["weak_hypothesis_violations"] == []
 
 
+@pytest.mark.parametrize("d, k, every_check", [
+    (3, 2, True), (4, 2, True), (5, 3, True), (3, 1, False), (5, 1, False)])
+def test_theorem_bound_counts_the_checks_that_cannot_fail(d, k, every_check):
+    # a check with bound_B >= top^2, top the root the oracle scan starts at,
+    # passes whatever the scan finds.  For k >= 2 that is every checked a;
+    # for k = 1 B is sharp and it is none.  5 chunks, so jobs=2 takes the
+    # pool path and merges the chunk counts.
+    rep = sq.verify_theorem_bound(d, k, 2, 20000, jobs=2)
+    assert rep.passed and rep.checked > 0
+    assert rep.vacuous == (rep.checked if every_check else 0)
+    assert "vacuous" not in rep.to_json()
+
+
 def test_verify_conjectures_targets():
     rep = sq.verify_conjectures(1, 10)
     assert rep.checked == 4  # first terms 3, 4, 8, 9
