@@ -8,7 +8,7 @@ ApSemigroup tests each root with one inequality: with v = a*x + d*y and
 0 <= y < a, v lies outside <a, a+d, ..., a+kd> exactly when
 (a + k*d)*y > k*v.  That test reads only the decomposition, never the lambda
 profile, so the oracle stays independent of the bound it checks.  For
-squares in <a, a+d> with a < 2**30 the scan runs upward on the offset
+squares in <a, a+d> with a < 2**30 the scan starts upward on the offset
 e = a - m, which keeps its modular product small.  Since m*m = e*e (mod a),
 z = -e*e*d^-1 mod a gives y = a - z when z != 0 and y = 0 (a member) when
 z == 0; and (a + d)*(a - z) > (a - e)**2 expands to
@@ -18,14 +18,18 @@ on integers below a: y(m-1) = y(m) - g(m) and g(m-1) = g(m) - 2*d^-1, both
 mod a, with g(m) = (2m - 1)*d^-1 mod a.  It walks the roots in blocks
 (lo, hi]: every m there has m >= lo + 1, so (a + k*d)*y > k*m*m can hold
 only if y > k*(lo + 1)**2 // (a + k*d), a bound fixed for the block, and
-the exact test runs only on the roots past it.  After two blocks without
-an answer it packs 64 consecutive roots into one Python int, a lane of
-W = 8*ceil((bits(a) + 2)/8) bits per root, lane j holding root hi - j.
-With L = 64 and G(m) = (2mL - L*L)*d^-1 mod a, y(m-L) = y(m) - G(m) and
+the exact test runs only on the roots past it.  Both loops hand the rest
+of a scan that has found no answer to one packed scan: the offset loop
+after 224 roots, the recurrence after two blocks.  It packs 64 consecutive
+roots into one Python int, a lane of W = 8*ceil((bits(a) + 2)/8) bits per
+root, lane j holding root hi - j.  With L = 64 and
+G(m) = (2mL - L*L)*d^-1 mod a, y(m-L) = y(m) - G(m) and
 G(m-L) = G(m) - 2L*L*d^-1, so a dozen big-int operations step all 64
 lanes at once.  Each subtraction mod a is an addition t in [0, 2a) per
 lane, reduced by the guard bit W - 1: t + 2**(W-1) - a sets it exactly
 when t >= a, and since 2a < 2**(W-1) no lane carries into the next.  The
+lanes are built by doubling, 1 to 64 in six rounds of the same lane-wise
+additions, so the setup costs about as much as a hundred scalar roots.  The
 block bound, taken at the step's lowest root, is below a (kk*top**2 is at
 most kk times the Frobenius number, which is below (a + kk*d)*a), so the
 same guard bit marks the lanes with y above it; those are tested exactly,
@@ -112,9 +116,11 @@ def power_frobenius_oracle(S, k: int) -> PowerFrobResult:
 # roots per block of the recurrence square scan: its counter stays within
 # CPython's cached small ints (up to 256), so the inner loop allocates no int
 _BLOCK = 256
-# the recurrence scan tests _HANDOFF blocks one root at a time, then hands
-# the rest to the packed scan, which steps _LANES roots at once
+# the recurrence scan tests _HANDOFF blocks one root at a time, and the
+# offset scan _OFFSET_HANDOFF roots, then each hands the rest to the packed
+# scan, which steps _LANES roots at once
 _HANDOFF = 2
+_OFFSET_HANDOFF = 224
 _LANES = 64
 
 
@@ -136,17 +142,23 @@ def _ap_scan(a, d, kk, k):
         # not m*m*dinv.  m*m = e*e (mod a), so z = -e*e*dinv mod a gives
         # y = a - z when z != 0, and y = 0 (a member) when z == 0; and
         # (a + d)*(a - z) > (a - e)**2 expands to a*(w - z) > d*z + e*e
-        # with w = d + 2e.  Every root from top down is still tested, so
-        # (m, top) and the steps are those of the recurrence below, which
+        # with w = d + 2e.  After _OFFSET_HANDOFF roots without an answer
+        # the packed scan goes on from the next root m, with y and g of the
+        # recurrence below at m.  Every root from top down is still tested,
+        # so (m, top) and the steps are those of the recurrence below, which
         # takes over from a = 2**30, one CPython int digit, up; every sweep
         # stays below that.
         nd = a - dinv
-        w = d + 2 * (a - top)
-        for e in range(a - top, a):
+        first = a - top
+        w = d + 2 * first
+        for e in range(first, min(a, first + _OFFSET_HANDOFF)):
             z = e * e * nd % a
             if z < w and z and a * (w - z) > d * z + e * e:
                 return a - e, top
             w += 2
+        m = top - _OFFSET_HANDOFF
+        if m > 0:
+            return _packed_scan(a, c, kk, dinv, m * m * dinv % a, (2 * m - 1) * dinv % a, m, top)
     elif k == 2:
         # y = m*m*dinv mod a and g = (2m - 1)*dinv mod a, stepped from top
         # down: (m - 1)**2 = m*m - (2m - 1) and 2(m - 1) - 1 = (2m - 1) - 2,
@@ -186,8 +198,9 @@ def _ap_scan(a, d, kk, k):
 def _packed_scan(a, c, kk, dinv, y, g, hi, top):
     """(m, top): the square scan of _ap_scan from root hi down, _LANES roots a step.
 
-    y and g are the recurrence's y(hi) and g(hi), and c = a + kk*d.  Lane j
-    of the int Y holds y(m) for m = hi - j, and lane j of H holds
+    y and g are the recurrence's y(hi) = hi*hi*dinv mod a and
+    g(hi) = (2*hi - 1)*dinv mod a, and c = a + kk*d.  Lane j of the int Y
+    holds y(m) for m = hi - j, and lane j of H holds
     h(m) = -G(m) = (L*L - 2mL)*dinv mod a, with L = _LANES.  Since
     (m - L)**2 = m*m - (2mL - L*L), one step is y <- y + h and
     h <- h + 2L*L*dinv, both lane-wise mod a.
@@ -197,30 +210,11 @@ def _packed_scan(a, c, kk, dinv, y, g, hi, top):
     # 2a < 2**guard, so it never reaches its guard bit before the reduction
     # adds 2**guard - a, and no lane carries into the next
     width = 8 * ((a.bit_length() + 2 + 7) // 8)
-    nbytes, guard = width // 8, width - 1
-    g2, step = 2 * dinv % a, 2 * L * dinv % a
-    h = (L * L - 2 * hi * L) * dinv % a
-    ys, hs = [], []
-    for _ in range(L):
-        ys.append(y.to_bytes(nbytes, "little"))
-        hs.append(h.to_bytes(nbytes, "little"))
-        y -= g
-        if y < 0:
-            y += a
-        g -= g2
-        if g < 0:
-            g += a
-        h += step
-        if h >= a:
-            h -= a
-    Y = int.from_bytes(b"".join(ys), "little")
-    H = int.from_bytes(b"".join(hs), "little")
-    ones = int.from_bytes((b"\1" + bytes(nbytes - 1)) * L, "little")
-    guards, lane = ones << guard, (1 << width) - 1
+    guard, lane = width - 1, (1 << width) - 1
+    Y, H, ones, step = _lanes(a, dinv, y, g, width)
     # a lane t in [0, 2a) sets its guard bit in t + 2**guard - a exactly
     # when t >= a, so t - (guard bits >> guard)*a is every lane mod a
-    sub_a = ((1 << guard) - a) * ones
-    ad = (2 * L * L * dinv % a) * ones
+    guards, sub_a, ad = ones << guard, ((1 << guard) - a) * ones, step * ones
     while hi > 0:
         # every root of the step is at least n, its lowest; bar < a since
         # kk*top**2 <= kk*F < c*a for the Frobenius number F
@@ -242,6 +236,39 @@ def _packed_scan(a, c, kk, dinv, y, g, hi, top):
         H = t - (((t + sub_a) & guards) >> guard) * a
         hi -= L
     raise AssertionError("scan fell through: the semigroup contains 1")
+
+
+def _lanes(a, dinv, y, g, width):
+    """(Y, H, ones, step): the _LANES lanes of _packed_scan, built by doubling.
+
+    y and g are y(hi) and g(hi), and lanes are width bits wide.  For n
+    lanes, lane j of D holds y(hi - j - n) - y(hi - j), that is
+    (n*n - 2n*(hi - j))*dinv mod a, so lanes n to 2n - 1 of Y are Y + D;
+    D for 2n lanes is 2D + 2n*n*dinv on the low half and that plus
+    4n*n*dinv on the high half.  Six rounds from n = 1, where D = -g, give
+    Y, and D for n = _LANES is H.  ones has a 1 at the foot of every lane,
+    and step = 2*_LANES**2*dinv mod a.  Every addition is lane-wise mod a,
+    by the guard-bit reduction of _packed_scan.
+    """
+    guard = width - 1
+    below = (1 << guard) - a
+    # step is 2n*n*dinv mod a for the round's n
+    Y, D, ones, n, step = y, (a - g) % a, 1, 1, 2 * dinv % a
+    while n < _LANES:
+        guards, sub_a, shift = ones << guard, below * ones, n * width
+        t = Y + D
+        Y |= (t - (((t + sub_a) & guards) >> guard) * a) << shift
+        t = D << 1
+        t -= (((t + sub_a) & guards) >> guard) * a
+        t += step * ones
+        low = t - (((t + sub_a) & guards) >> guard) * a
+        step = 2 * step % a
+        t = low + step * ones
+        D = low | (t - (((t + sub_a) & guards) >> guard) * a) << shift
+        step = 2 * step % a
+        ones |= ones << shift
+        n *= 2
+    return Y, D, ones, step
 
 
 def power_min_oracle(S, k: int) -> PowerFrobResult:

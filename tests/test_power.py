@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 from math import gcd
 
@@ -216,6 +217,80 @@ def test_square_oracle_answer_at_a_packed_lane(a, d, k, step, lane):
         assert _scan_route(a, d, k) == ("recurrence", True)
 
 
+@pytest.mark.parametrize("a,d,step,lane,second", [
+    (10817, 20, None, None, False),
+    (12767, 8, 0, 0, False), (12903, 40, 0, 63, False),
+    (4071474, 17, 27, 56, False), (7062592, 11, 37, 60, False),
+    # a second root of the same step is missing too, below the answer
+    (13095, 8, 0, 0, True), (11381, 32, 0, 1, True), (2232299, 13, 19, 49, True),
+    (8364783, 31, 74, 43, True),
+])
+def test_square_oracle_answer_at_an_offset_packed_lane(a, d, step, lane, second):
+    # the offset scan (k = 1, a < 2**30) tests _OFFSET_HANDOFF roots one at
+    # a time, then the packed scan tests _LANES roots per step; step None is
+    # the last root before the hand-off.  Lane widths are 16, 24 and 32
+    # bits.  Each answer was found by search and checked against
+    # naive.ap_power_root.
+    root, top = _square_scan_matches_sum_count(a, d)
+    scalar, lanes = sq.power._OFFSET_HANDOFF, sq.power._LANES
+    if step is None:
+        assert top - root + 1 == scalar
+        assert _scan_route(a, d, 1) == ("offset", False)
+    else:
+        assert divmod(top - root - scalar, lanes) == (step, lane)
+        assert _scan_route(a, d, 1) == ("offset", True)
+        below = range(root - 1, max(root - lanes + lane, 0), -1)
+        assert any(not naive.ap_member(a, d, 1, m * m) for m in below) == second
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(14, 30).flatmap(
+    lambda b: st.integers(max(10 ** 4, 1 << (b - 1)), (1 << b) - 1)), st.integers(1, 40))
+@example(10817, 20)
+@example(13095, 8)
+@example(2 ** 30 - 1, 40)
+def test_square_oracle_matches_sum_count_across_the_offset_hand_off(a, d):
+    # k = 1 below 2**30, with a drawn evenly by bit length: scans of a few
+    # dozen roots near a = 10**4 end on the offset loop, the rest (up to
+    # about 10**5 roots near 2**30) go on in packed lanes
+    assume(gcd(a, d) == 1)
+    _square_scan_matches_sum_count(a, d)
+
+
+def _lanes_root_by_root(a, dinv, hi, width):
+    # the lanes of _packed_scan, one root at a time: y(m) = m*m*dinv and
+    # h(m) = (L*L - 2mL)*dinv mod a in lane j for m = hi - j
+    L = sq.power._LANES
+    Y = H = ones = 0
+    for j in range(L):
+        m = hi - j
+        Y |= (m * m * dinv % a) << (j * width)
+        H |= ((L * L - 2 * m * L) * dinv % a) << (j * width)
+        ones |= 1 << (j * width)
+    return Y, H, ones, 2 * L * L * dinv % a
+
+
+@pytest.mark.parametrize("b", [6, 14, 22, 30, 62])
+def test_packed_lanes_by_doubling_match_root_by_root(b):
+    # a just below 2**b has bits(a) + 2 = b + 2 bits, a from 2**b one more,
+    # so the lane width steps up a byte across 2**b
+    rng = random.Random(b)
+    span = min(1 << (b - 2), 10 ** 6)
+    for side, lo in ((0, (1 << b) - span), (8, 1 << b)):
+        width = 8 * -(-(b + 2) // 8) + side
+        for d in (1, 2, 3, 7, 40):
+            a = rng.randrange(lo, lo + span) | 1
+            while gcd(a, d) != 1:
+                a += 2
+            assert 8 * -(-(a.bit_length() + 2) // 8) == width
+            dinv = pow(d, -1, a)
+            # g(hi) = 0 at hi = (a + 1)/2, and hi < _LANES reaches roots <= 0
+            for hi in (rng.randrange(65, 4 * a), (a + 1) // 2, rng.randrange(1, 64)):
+                y, g = hi * hi * dinv % a, (2 * hi - 1) * dinv % a
+                assert (sq.power._lanes(a, dinv, y, g, width)
+                        == _lanes_root_by_root(a, dinv, hi, width)), (a, d, hi)
+
+
 @pytest.mark.parametrize("a,d", [(7, 5), (3, 7), (9, 8), (11, 13), (2, 9), (13, 40)])
 def test_square_oracle_scan_starting_above_a(a, d):
     # top > a, so the scan's first offset a - top is negative
@@ -267,7 +342,6 @@ def _scan_route(a, d, k):
     text = {lines[n - first].strip() for n in ran[scan]}
     offset, recurrence = "w += 2" in text, "y -= g" in text
     assert offset != recurrence, text
-    assert recurrence or not ran[packed]
     return ("offset" if offset else "recurrence"), bool(ran[packed])
 
 
@@ -280,10 +354,12 @@ def _scan_route(a, d, k):
 ])
 def test_square_scan_route(a, d, k, route):
     # the sweeps (k = 1, a < 2**30) keep the offset scan; the rest step
-    # the recurrence, which costs less per root there, and hand off to
-    # the packed scan once 512 roots held no answer
+    # the recurrence, which costs less per root there.  Each hands off to
+    # the packed scan once its first 224 (offset) or 512 (recurrence)
+    # roots held no answer
     root, top = sq.power._ap_scan(a, d, k, 2)
-    assert _scan_route(a, d, k) == (route, route == "recurrence" and top - root + 1 > 512)
+    scalar = 224 if route == "offset" else 512
+    assert _scan_route(a, d, k) == (route, top - root + 1 > scalar)
 
 
 @pytest.mark.parametrize("power", [2, 3])
