@@ -7,37 +7,28 @@ or an ApSemigroup, which needs no table.  The largest-power scan over an
 ApSemigroup tests each root with one inequality: with v = a*x + d*y and
 0 <= y < a, v lies outside <a, a+d, ..., a+kd> exactly when
 (a + k*d)*y > k*v.  That test reads only the decomposition, never the lambda
-profile, so the oracle stays independent of the bound it checks.  For
-squares in <a, a+d> with a < 2**30 the scan starts upward on the offset
-e = a - m, which keeps its modular product small.  Since m*m = e*e (mod a),
-z = -e*e*d^-1 mod a gives y = a - z when z != 0 and y = 0 (a member) when
-z == 0; and (a + d)*(a - z) > (a - e)**2 expands to
-a*(d + 2e - z) > d*z + e*e.  Every other square scan (k >= 2, or k = 1 with
-a >= 2**30) keeps y = m*m*d^-1 mod a exact with two additive recurrences
-on integers below a: y(m-1) = y(m) - g(m) and g(m-1) = g(m) - 2*d^-1, both
-mod a, with g(m) = (2m - 1)*d^-1 mod a.  It walks the roots in blocks
-(lo, hi]: every m there has m >= lo + 1, so (a + k*d)*y > k*m*m can hold
-only if y > k*(lo + 1)**2 // (a + k*d), a bound fixed for the block, and
-the exact test runs only on the roots past it.  Both loops hand the rest
-of a scan that has found no answer to one packed scan: the offset loop
-after 224 roots, the recurrence after two blocks.  It packs 64 consecutive
-roots into one Python int, a lane of W = 8*ceil((bits(a) + 2)/8) bits per
-root, lane j holding root hi - j.  With L = 64 and
+profile, so the oracle stays independent of the bound it checks.
+
+Squares take one of two routes.  In <a, a+d> with a < 2**30 the scan runs
+upward on the offset e = a - m, which keeps its modular product small:
+m*m = e*e (mod a), so z = -e*e*d^-1 mod a gives y = a - z when z != 0 and
+y = 0 (a member) when z == 0, and (a + d)*(a - z) > (a - e)**2 expands to
+a*(d + 2e - z) > d*z + e*e.  After 224 roots without an answer it hands
+the rest to the packed scan, which runs every other square scan (k >= 2,
+or k = 1 with a >= 2**30) from its first root.  That scan packs
+y = m*m*d^-1 mod a for 64 consecutive roots into one Python int, a lane of
+W = 8*ceil((bits(a) + 2)/8) bits per root, and steps all 64 lanes with a
+dozen big-int operations: with L = 64 and
 G(m) = (2mL - L*L)*d^-1 mod a, y(m-L) = y(m) - G(m) and
-G(m-L) = G(m) - 2L*L*d^-1, so a dozen big-int operations step all 64
-lanes at once.  Each subtraction mod a is an addition t in [0, 2a) per
-lane, reduced by the guard bit W - 1: t + 2**(W-1) - a sets it exactly
-when t >= a, and since 2a < 2**(W-1) no lane carries into the next.  The
-lanes are built by doubling, 1 to 64 in six rounds of the same lane-wise
-additions, so the setup costs about as much as a hundred scalar roots.  The
-block bound, taken at the step's lowest root, is below a (kk*top**2 is at
-most kk times the Frobenius number, which is below (a + kk*d)*a), so the
-same guard bit marks the lanes with y above it; those are tested exactly,
-highest root first.  These are the same test rewritten, not a pruning:
-every root from the top down is still tested, the first missing one is
-returned, and steps is unchanged.  On every route the largest-power oracle
-records the number of roots it scanned in steps, outside the canonical
-JSON.
+G(m-L) = G(m) - 2L*L*d^-1.  A lane sum t in [0, 2a) is reduced mod a by
+its guard bit W - 1, which t + 2**(W-1) - a sets exactly when t >= a; no
+lane carries into the next.  Every root of a step is at least its lowest
+root n, so the same guard bit marks the lanes with y > k*n*n // (a + k*d),
+and only those take the exact test, highest root first.  Both routes test
+every root from the top down and return the first missing one, so the
+answer and steps are those of the plain scan.  On every route the
+largest-power oracle records the number of roots it scanned in steps,
+outside the canonical JSON.
 """
 
 from __future__ import annotations
@@ -113,13 +104,8 @@ def power_frobenius_oracle(S, k: int) -> PowerFrobResult:
     raise AssertionError("scan fell through: the semigroup contains 1")
 
 
-# roots per block of the recurrence square scan: its counter stays within
-# CPython's cached small ints (up to 256), so the inner loop allocates no int
-_BLOCK = 256
-# the recurrence scan tests _HANDOFF blocks one root at a time, and the
-# offset scan _OFFSET_HANDOFF roots, then each hands the rest to the packed
-# scan, which steps _LANES roots at once
-_HANDOFF = 2
+# the offset scan tests _OFFSET_HANDOFF roots one at a time, then hands
+# the rest to the packed scan, which steps _LANES roots at once
 _OFFSET_HANDOFF = 224
 _LANES = 64
 
@@ -143,11 +129,9 @@ def _ap_scan(a, d, kk, k):
         # y = a - z when z != 0, and y = 0 (a member) when z == 0; and
         # (a + d)*(a - z) > (a - e)**2 expands to a*(w - z) > d*z + e*e
         # with w = d + 2e.  After _OFFSET_HANDOFF roots without an answer
-        # the packed scan goes on from the next root m, with y and g of the
-        # recurrence below at m.  Every root from top down is still tested,
-        # so (m, top) and the steps are those of the recurrence below, which
-        # takes over from a = 2**30, one CPython int digit, up; every sweep
-        # stays below that.
+        # the packed scan goes on from the next root; every other square
+        # scan runs on it from top.  This route ends at a = 2**30, one
+        # CPython int digit; every sweep stays below that.
         nd = a - dinv
         first = a - top
         w = d + 2 * first
@@ -156,37 +140,10 @@ def _ap_scan(a, d, kk, k):
             if z < w and z and a * (w - z) > d * z + e * e:
                 return a - e, top
             w += 2
-        m = top - _OFFSET_HANDOFF
-        if m > 0:
-            return _packed_scan(a, c, kk, dinv, m * m * dinv % a, (2 * m - 1) * dinv % a, m, top)
+        if top > _OFFSET_HANDOFF:
+            return _packed_scan(a, c, kk, dinv, top - _OFFSET_HANDOFF, top)
     elif k == 2:
-        # y = m*m*dinv mod a and g = (2m - 1)*dinv mod a, stepped from top
-        # down: (m - 1)**2 = m*m - (2m - 1) and 2(m - 1) - 1 = (2m - 1) - 2,
-        # so y(m-1) = y(m) - g(m) and g(m-1) = g(m) - 2*dinv, both mod a.
-        # In the block (lo, hi] every m is at least lo + 1, so c*y > kk*m*m
-        # needs c*y > kk*(lo + 1)**2, that is y > bar; the exact test runs
-        # only past bar.  After _HANDOFF blocks the packed scan goes on from
-        # the next root with the same y, g and bar, _LANES roots per step.
-        # Every root is still visited in order, so (m, top) and the steps
-        # are those of a loop testing each m*m*dinv % a directly.
-        y = top * top * dinv % a
-        g = (2 * top - 1) * dinv % a
-        g2 = 2 * dinv % a
-        for hi in range(top, max(top - _HANDOFF * _BLOCK, 0), -_BLOCK):
-            lo = max(hi - _BLOCK, 0)
-            bar = kk * (lo + 1) ** 2 // c
-            for i in range(hi - lo):
-                if y > bar and c * y > kk * (hi - i) ** 2:
-                    return hi - i, top
-                y -= g
-                if y < 0:
-                    y += a
-                g -= g2
-                if g < 0:
-                    g += a
-        # no hit in the first _HANDOFF blocks, so top > _HANDOFF * _BLOCK and
-        # y, g are those of the next root down
-        return _packed_scan(a, c, kk, dinv, y, g, top - _HANDOFF * _BLOCK, top)
+        return _packed_scan(a, c, kk, dinv, top, top)
     else:
         for m in range(top, 0, -1):
             v = m ** k
@@ -195,15 +152,15 @@ def _ap_scan(a, d, kk, k):
     raise AssertionError("scan fell through: the semigroup contains 1")
 
 
-def _packed_scan(a, c, kk, dinv, y, g, hi, top):
+def _packed_scan(a, c, kk, dinv, hi, top):
     """(m, top): the square scan of _ap_scan from root hi down, _LANES roots a step.
 
-    y and g are the recurrence's y(hi) = hi*hi*dinv mod a and
-    g(hi) = (2*hi - 1)*dinv mod a, and c = a + kk*d.  Lane j of the int Y
-    holds y(m) for m = hi - j, and lane j of H holds
-    h(m) = -G(m) = (L*L - 2mL)*dinv mod a, with L = _LANES.  Since
-    (m - L)**2 = m*m - (2mL - L*L), one step is y <- y + h and
-    h <- h + 2L*L*dinv, both lane-wise mod a.
+    c = a + kk*d.  Lane j of the int Y holds y(m) = m*m*dinv mod a for
+    m = hi - j, and lane j of H holds h(m) = -G(m) = (L*L - 2mL)*dinv mod a,
+    with L = _LANES.  Since (m - L)**2 = m*m - (2mL - L*L), one step is
+    y <- y + h and h <- h + 2L*L*dinv, both lane-wise mod a.  Past root 1
+    the lanes hold roots <= 0, which are never reached: root 1 is missing
+    from every semigroup with a >= 2, so the scan stops there.
     """
     L = _LANES
     # lanes are whole bytes with two bits to spare: a lane holds less than
@@ -211,7 +168,7 @@ def _packed_scan(a, c, kk, dinv, y, g, hi, top):
     # adds 2**guard - a, and no lane carries into the next
     width = 8 * ((a.bit_length() + 2 + 7) // 8)
     guard, lane = width - 1, (1 << width) - 1
-    Y, H, ones, step = _lanes(a, dinv, y, g, width)
+    Y, H, ones, step = _lanes(a, dinv, hi * hi * dinv % a, (2 * hi - 1) * dinv % a, width)
     # a lane t in [0, 2a) sets its guard bit in t + 2**guard - a exactly
     # when t >= a, so t - (guard bits >> guard)*a is every lane mod a
     guards, sub_a, ad = ones << guard, ((1 << guard) - a) * ones, step * ones
@@ -241,9 +198,10 @@ def _packed_scan(a, c, kk, dinv, y, g, hi, top):
 def _lanes(a, dinv, y, g, width):
     """(Y, H, ones, step): the _LANES lanes of _packed_scan, built by doubling.
 
-    y and g are y(hi) and g(hi), and lanes are width bits wide.  For n
-    lanes, lane j of D holds y(hi - j - n) - y(hi - j), that is
-    (n*n - 2n*(hi - j))*dinv mod a, so lanes n to 2n - 1 of Y are Y + D;
+    y and g are y(hi) = hi*hi*dinv mod a and g(hi) = (2*hi - 1)*dinv mod a,
+    and lanes are width bits wide.  For n lanes, lane j of D holds
+    y(hi - j - n) - y(hi - j), that is (n*n - 2n*(hi - j))*dinv mod a, so
+    lanes n to 2n - 1 of Y are Y + D;
     D for 2n lanes is 2D + 2n*n*dinv on the low half and that plus
     4n*n*dinv on the high half.  Six rounds from n = 1, where D = -g, give
     Y, and D for n = _LANES is H.  ones has a 1 at the foot of every lane,

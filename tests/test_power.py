@@ -152,8 +152,9 @@ def test_square_oracle_matches_sum_count_large_a(a, d, k):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(10 ** 6, 10 ** 9), st.integers(1, 40), st.integers(1, 4))
 def test_square_oracle_matches_sum_count_across_the_hand_off(a, d, k):
-    # scans of about 500 to 20,000 roots, so the recurrence scan hands off
-    # to the packed one on some and not on others
+    # scans of about 500 to 20,000 roots: k = 1 starts on the offset scan,
+    # which hands off to the packed one on some and not on others; k >= 2
+    # is packed from its first root and ends in any step
     assume(gcd(a, d) == 1)
     _square_scan_matches_sum_count(a, d, k)
 
@@ -165,56 +166,38 @@ def test_square_oracle_matches_sum_count_across_the_hand_off(a, d, k):
 @example(2 ** 30 - 1, 40)
 @example(2 ** 30, 39)
 def test_square_oracle_matches_sum_count_either_side_of_2_30(a, d):
-    # k = 1 switches from the offset scan to the recurrence at a = 2**30;
+    # k = 1 switches from the offset scan to the packed one at a = 2**30;
     # top*top <= a*a + (d - 2)*a - d, so with d >= 5 the scan starts above a
     assume(gcd(a, d) == 1)
     _, top = _square_scan_matches_sum_count(a, d)
     assert (top > a) == (d >= 5)
 
 
-@pytest.mark.parametrize("a,d,k,edge", [
-    (1074304007, 29, 1, "first"), (2572715, 31, 2, "first"), (714369, 17, 3, "first"),
-    (1125793, 21, 4, "first"),
-    (1079928779, 35, 1, "last"), (6123331, 37, 2, "last"), (6584621, 5, 3, "last"),
-    (1918897, 40, 4, "last"),
-    # last roots where (a + kd)*y <= k*(root + 1)**2: a bound taken at the
-    # block's second-lowest root would skip them
-    (122346, 5, 3, "last"), (61909, 22, 4, "last"), (111527, 33, 4, "last"),
-    (2, 1, 2, "last"), (3, 1, 3, "last"), (2, 3, 4, "last"),
-])
-def test_square_oracle_answer_on_a_block_edge(a, d, k, edge):
-    # the recurrence scan tests roots in blocks of _BLOCK from top down
-    root, top = _square_scan_matches_sum_count(a, d, k)
-    block = sq.power._BLOCK
-    if edge == "first":
-        assert (top - root) % block == 0 and top > root
-    else:
-        assert (top - root + 1) % block == 0 or root == 1
-
-
 @pytest.mark.parametrize("a,d,k,step,lane", [
-    (2267418, 11, 3, None, None),
-    (1894981, 14, 2, 0, 0), (1427177, 22, 4, 0, 63),
-    (2984002, 33, 2, 22, 0), (2625045, 26, 4, 19, 63),
+    (2267418, 11, 3, 7, 63),
+    (1894981, 14, 2, 8, 0), (1427177, 22, 4, 8, 63),
+    (2984002, 33, 2, 30, 0), (2625045, 26, 4, 27, 63),
+    # answers on the first or last lane of a step, k = 1 past a = 2**30 too
+    (1074304007, 29, 1, 512, 0), (2572715, 31, 2, 12, 0), (714369, 17, 3, 8, 0),
+    (1125793, 21, 4, 8, 0),
+    (1079928779, 35, 1, 1147, 63), (6123331, 37, 2, 7, 63), (6584621, 5, 3, 35, 63),
+    (1918897, 40, 4, 43, 63),
+    # top = 1: the other 63 lanes hold roots <= 0
+    (2, 1, 2, 0, 0), (3, 1, 3, 0, 0), (2, 3, 4, 0, 0),
     # a second root of the same step is missing too, below the answer
-    (292268, 29, 4, 0, 0), (2380345, 2, 4, 4, 0),
+    (292268, 29, 4, 8, 0), (2380345, 2, 4, 12, 0),
     # (a + kd)*y <= k*(root + 1)**2: a bound taken at the step's
     # second-lowest root would skip the answer
-    (983453, 7, 3, 0, 63), (1224127, 14, 3, 4, 63),
+    (983453, 7, 3, 8, 63), (1224127, 14, 3, 12, 63),
+    (122346, 5, 3, 3, 63), (61909, 22, 4, 3, 63), (111527, 33, 4, 3, 63),
 ])
 def test_square_oracle_answer_at_a_packed_lane(a, d, k, step, lane):
-    # the recurrence scan tests _HANDOFF blocks root by root, then the
-    # packed scan tests _LANES roots per step; step None is the last root
-    # before the hand-off.  Each answer was found by search and checked
-    # against naive.ap_power_root.
+    # off the offset route the packed scan tests _LANES roots per step from
+    # top down.  Each answer was found by search and checked against
+    # naive.ap_power_root.
     root, top = _square_scan_matches_sum_count(a, d, k)
-    scalar = sq.power._HANDOFF * sq.power._BLOCK
-    if step is None:
-        assert top - root + 1 == scalar
-        assert _scan_route(a, d, k) == ("recurrence", False)
-    else:
-        assert divmod(top - root - scalar, sq.power._LANES) == (step, lane)
-        assert _scan_route(a, d, k) == ("recurrence", True)
+    assert divmod(top - root, sq.power._LANES) == (step, lane)
+    assert _scan_route(a, d, k) == ("packed", top)
 
 
 @pytest.mark.parametrize("a,d,step,lane,second", [
@@ -235,10 +218,10 @@ def test_square_oracle_answer_at_an_offset_packed_lane(a, d, step, lane, second)
     scalar, lanes = sq.power._OFFSET_HANDOFF, sq.power._LANES
     if step is None:
         assert top - root + 1 == scalar
-        assert _scan_route(a, d, 1) == ("offset", False)
+        assert _scan_route(a, d, 1) == ("offset", None)
     else:
         assert divmod(top - root - scalar, lanes) == (step, lane)
-        assert _scan_route(a, d, 1) == ("offset", True)
+        assert _scan_route(a, d, 1) == ("offset", top - scalar)
         below = range(root - 1, max(root - lanes + lane, 0), -1)
         assert any(not naive.ap_member(a, d, 1, m * m) for m in below) == second
 
@@ -291,6 +274,22 @@ def test_packed_lanes_by_doubling_match_root_by_root(b):
                         == _lanes_root_by_root(a, dinv, hi, width)), (a, d, hi)
 
 
+def test_short_packed_scans_match_sum_count():
+    # k >= 2 scans with top < _LANES start on lanes that run past root 1
+    # to roots <= 0; root 1 is always missing, so the scan stops there
+    cases = 0
+    for a in range(2, 200):
+        for d in range(1, 13):
+            if gcd(a, d) != 1:
+                continue
+            for k in range(2, 5):
+                want = naive.ap_power_root(a, d, k, 2)
+                if want[1] < sq.power._LANES:
+                    assert sq.power._ap_scan(a, d, k, 2) == want, (a, d, k)
+                    cases += 1
+    assert cases == 2266
+
+
 @pytest.mark.parametrize("a,d", [(7, 5), (3, 7), (9, 8), (11, 13), (2, 9), (13, 40)])
 def test_square_oracle_scan_starting_above_a(a, d):
     # top > a, so the scan's first offset a - top is negative
@@ -313,24 +312,26 @@ def test_square_oracle_steps_are_pinned():
     (2538633157, 5, 1, 71254), (10168757624, 7, 2, 94086), (30218068790, 9, 3, 142981),
 ])
 def test_square_oracle_steps_are_pinned_past_2_30(a, d, k, steps):
-    # k = 1 past a = 2**30 and k >= 2 scan on the recurrence, then on the
-    # packed lanes; each pin was checked against naive.ap_power_root
+    # k = 1 past a = 2**30 and k >= 2 scan on packed lanes from top; each
+    # pin was checked against naive.ap_power_root
     assert sq.power_frobenius_oracle(sq.ApSemigroup(a, d, k), 2).steps == steps
 
 
 def _scan_route(a, d, k):
-    # (loop, packed): which square loop of _ap_scan ran, from the source
-    # lines it executed, and whether it handed off to _packed_scan
+    # (loop, hi): which square route of _ap_scan ran, from the source lines
+    # it executed, and the root _packed_scan started from (None if it never
+    # ran)
     scan, packed = sq.power._ap_scan.__code__, sq.power._packed_scan.__code__
-    ran = {scan: set(), packed: set()}
+    ran, start = set(), []
 
     def trace(frame, event, arg):
-        lines = ran.get(frame.f_code)
-        if lines is None:
-            return None
-        if event == "line":
-            lines.add(frame.f_lineno)
-        return trace
+        if frame.f_code is packed:
+            start.append(frame.f_locals["hi"])
+        elif frame.f_code is scan:
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return trace
+        return None
 
     old = sys.gettrace()
     sys.settrace(trace)
@@ -339,27 +340,29 @@ def _scan_route(a, d, k):
     finally:
         sys.settrace(old)
     lines, first = inspect.getsourcelines(sq.power._ap_scan)
-    text = {lines[n - first].strip() for n in ran[scan]}
-    offset, recurrence = "w += 2" in text, "y -= g" in text
-    assert offset != recurrence, text
-    return ("offset" if offset else "recurrence"), bool(ran[packed])
+    text = {lines[n - first].strip() for n in ran}
+    assert "v = m ** k" not in text, text
+    assert len(start) <= 1, start
+    return ("offset" if "w += 2" in text else "packed"), (start[0] if start else None)
 
 
 @pytest.mark.parametrize("a,d,k,route", [
     (2 ** 30 - 1, 1, 1, "offset"), (2 ** 30 - 3, 40, 1, "offset"), (1000003, 7, 1, "offset"),
-    (2 ** 30, 1, 1, "recurrence"), (2 ** 30 + 1, 37, 1, "recurrence"),
-    (1009, 3, 2, "recurrence"), (1000003, 7, 3, "recurrence"), (2 ** 30 - 1, 1, 4, "recurrence"),
-    (2538633157, 5, 1, "recurrence"), (10168757624, 7, 2, "recurrence"),
-    (30218068790, 9, 3, "recurrence"),
+    (2 ** 30, 1, 1, "packed"), (2 ** 30 + 1, 37, 1, "packed"),
+    (1009, 3, 2, "packed"), (1000003, 7, 3, "packed"), (2 ** 30 - 1, 1, 4, "packed"),
+    (2538633157, 5, 1, "packed"), (10168757624, 7, 2, "packed"),
+    (30218068790, 9, 3, "packed"),
 ])
 def test_square_scan_route(a, d, k, route):
-    # the sweeps (k = 1, a < 2**30) keep the offset scan; the rest step
-    # the recurrence, which costs less per root there.  Each hands off to
-    # the packed scan once its first 224 (offset) or 512 (recurrence)
-    # roots held no answer
-    root, top = sq.power._ap_scan(a, d, k, 2)
-    scalar = 224 if route == "offset" else 512
-    assert _scan_route(a, d, k) == (route, top - root + 1 > scalar)
+    # the sweeps (k = 1, a < 2**30) keep the offset scan, which hands off to
+    # the packed scan once its first 224 roots held no answer; every other
+    # square scan is packed from its first root
+    root, top = _square_scan_matches_sum_count(a, d, k)
+    if route == "packed":
+        start = top
+    else:
+        start = top - 224 if top - root + 1 > 224 else None
+    assert _scan_route(a, d, k) == (route, start)
 
 
 @pytest.mark.parametrize("power", [2, 3])
