@@ -7,16 +7,19 @@ the square Frobenius number outside the exception set table1.tsv lists.  The
 branch label and b come from the alpha-grid cell the bound brackets.
 
 For d = 1, 2 one branch rule covers both: when a ("square") or a+d
-("adjacent") is a perfect square c^2, the root is a - s if c is a u-number
-of that case's index family, s the largest integer <= c*sqrt(3) congruent to
-1 mod d, else a - d*(floor(c*sqrt(2)) // d); one small u-number in two of the
-four cases has a fixed root instead.  For d = 2, s is floor(c*sqrt(3)) made
-odd, which departs from floor(c*sqrt(3)) as transcribed: the oracle's root is
-one larger whenever floor(c*sqrt(3)) is even, first at c = 1393.  Every other
-a is exact: its root is a - c for the largest c <= sqrt(a) congruent to a
-mod d.  The square and adjacent branches are conjectured.  No closed form
-calls the oracle: the true value is power_frobenius_oracle(ApSemigroup(a, d,
-1), 2), which the verify sweeps compare these formulas against.
+("adjacent") is a perfect square c^2, the root is a - s if c is in that
+case's u-number family, s the largest integer <= c*sqrt(3) congruent to 1 mod
+d, else a - d*(floor(c*sqrt(2)) // d); one small u-number in two of the four
+cases has a fixed root instead.  The family is the c > 1 solving the Pell
+equation c^2 - 2y^2 = -e, or for d = 1 also x^2 - 2c^2 = e, with e = +1 for
+"square" and -1 for "adjacent"; c = 1 is in the d = 1 square family only.
+For d = 2, s is floor(c*sqrt(3)) made odd, which departs from
+floor(c*sqrt(3)) as transcribed: the oracle's root is one larger whenever
+floor(c*sqrt(3)) is even, first at c = 1393.  Every other a is exact: its
+root is a - c for the largest c <= sqrt(a) congruent to a mod d.  The square
+and adjacent branches are conjectured.  No closed form calls the oracle: the
+true value is power_frobenius_oracle(ApSemigroup(a, d, 1), 2), which the
+verify sweeps compare these formulas against.
 
 This module is the one parser of the golden tables table1.tsv and table2.tsv.
 """
@@ -80,45 +83,39 @@ class EvenInput(SemigroupError):
     """The d = 2 closed form needs odd a."""
 
 
-# u-sequence: u1=1, u2=2, u3=3, then u_{2n} = u_{2n-1} + u_{2n-2} and
-# u_{2n+1} = u_{2n} + u_{2n-2}.  Append-only cache, grown on demand.
-_U = [1, 2, 3]
-
-
 def u(n: int) -> int:
-    """n-th term of the u-sequence (1-based)."""
+    """n-th term of the u-sequence 1, 2, 3, 5, 7, 12, ... (1-based).
+
+    The convergents p/q of sqrt(2) run 1/1, 3/2, 7/5, 17/12, ..., each from
+    the last by (p, q) <- (p + 2q, p + q); u_n is p for odd n and q for even
+    n after floor(n/2) of those steps.
+    """
     if n < 1:
         raise ValueError(f"u is 1-based, got index {n}")
-    while len(_U) < n:
-        m = len(_U) + 1
-        if m % 2 == 0:
-            _U.append(_U[-1] + _U[-2])
-        else:
-            _U.append(_U[-1] + _U[-3])
-    return _U[n - 1]
+    p = q = 1
+    for _ in range(n // 2):
+        p, q = p + 2 * q, p + q
+    return p if n % 2 else q
 
 
-# Families of u-indices that select the conjectured branches: residues of the
-# index mod 4, plus the smallest admissible index.
-_U_FAMILIES = {
-    "d1_square": ((1, 2), 1),
-    "d1_adjacent": ((3, 0), 3),
-    "d2_square": ((1,), 5),
-    "d2_adjacent": ((3,), 3),
-}
+# the sign s of each family's Pell equations (u_index_set_member)
+_PELL_SIGN = {"d1_square": 1, "d1_adjacent": -1, "d2_square": 1, "d2_adjacent": -1}
 
 
 def u_index_set_member(b: int, family: str) -> bool:
-    """Whether b equals some u_n with n in the named index family."""
-    residues, lo = _U_FAMILIES[family]
-    n = 1
-    while True:
-        t = u(n)
-        if t > b:
-            return False
-        if t == b:
-            return n >= lo and n % 4 in residues
-        n += 1
+    """Whether b equals some u_n with n in the named index family.
+
+    The convergents p/q of sqrt(2) are the positive solutions of Pell's
+    equation p*p - 2*q*q = -1, +1 in turn.  With s = +1 for the "square"
+    families and -1 for the "adjacent" ones, b > 1 is in the family when
+    (b*b + s)/2 is a square (b = p = u_n, n odd), or for d1 also when
+    2*b*b + s is a square (b = q, n even).  b = 1 = u_1 is in d1_square only.
+    """
+    s = _PELL_SIGN[family]
+    if b < 2:
+        return b == 1 and family == "d1_square"
+    return (2 * isqrt((b * b + s) // 2) ** 2 == b * b + s
+            or family.startswith("d1") and isqrt(2 * b * b + s) ** 2 == 2 * b * b + s)
 
 
 class ClosedFormAnswer(namedtuple("ClosedFormAnswer", "a d value root branch b",

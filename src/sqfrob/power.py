@@ -9,17 +9,16 @@ ApSemigroup tests each root with one inequality: with v = a*x + d*y and
 (a + k*d)*y > k*v.  That test reads only the decomposition, never the lambda
 profile, so the oracle stays independent of the bound it checks.
 
-Squares take one of two routes.  In <a, a+d> with a < 2**30 the scan runs
-upward on the offset e = a - m, which keeps its modular product small:
+Squares take one of two routes.  In <a, a+d> the scan runs upward on the
+offset e = a - m, which keeps its modular product small:
 m*m = e*e (mod a), so z = -e*e*d^-1 mod a gives y = a - z when z != 0 and
 y = 0 (a member) when z == 0, and (a + d)*(a - z) > (a - e)**2 expands to
 a*(d + 2e - z) > d*z + e*e.  After 224 roots without an answer it hands
-the rest to the packed scan, which runs every other square scan (k >= 2,
-or k = 1 with a >= 2**30) from its first root.  That scan packs
-y = m*m*d^-1 mod a for 64 consecutive roots into one Python int, a lane of
-W = 8*ceil((bits(a) + 2)/8) bits per root, and steps all 64 lanes with a
-dozen big-int operations: with L = 64 and
-G(m) = (2mL - L*L)*d^-1 mod a, y(m-L) = y(m) - G(m) and
+the rest to the packed scan, which runs every other square scan (k >= 2)
+from its first root.  That scan packs y = m*m*d^-1 mod a for 64
+consecutive roots into one Python int, a lane of W = 8*ceil((bits(a) + 2)/8)
+bits per root, and steps all 64 lanes with a dozen big-int operations:
+with L = 64 and G(m) = (2mL - L*L)*d^-1 mod a, y(m-L) = y(m) - G(m) and
 G(m-L) = G(m) - 2L*L*d^-1.  A lane sum t in [0, 2a) is reduced mod a by
 its guard bit W - 1, which t + 2**(W-1) - a sets exactly when t >= a; no
 lane carries into the next.  Every root of a step is at least its lowest
@@ -122,7 +121,7 @@ def _ap_scan(a, d, kk, k):
     dinv = pow(d, -1, a)
     c = a + kk * d
     top = kth_root_floor(_roberts(a, d, kk), k)
-    if k == 2 and kk == 1 and a < 1 << 30:
+    if k == 2 and kk == 1:
         # squares in <a, a+d>, on the offset e = a - m scanned upward from
         # a - top: the product reduced mod a is e*e*nd, small when e is,
         # not m*m*dinv.  m*m = e*e (mod a), so z = -e*e*dinv mod a gives
@@ -130,8 +129,8 @@ def _ap_scan(a, d, kk, k):
         # (a + d)*(a - z) > (a - e)**2 expands to a*(w - z) > d*z + e*e
         # with w = d + 2e.  After _OFFSET_HANDOFF roots without an answer
         # the packed scan goes on from the next root; every other square
-        # scan runs on it from top.  This route ends at a = 2**30, one
-        # CPython int digit; every sweep stays below that.
+        # scan runs on it from top.  top is about a + (d - 2)/2, so on this
+        # route |e| stays below about _OFFSET_HANDOFF + d at any a.
         nd = a - dinv
         first = a - top
         w = d + 2 * first

@@ -1,8 +1,10 @@
 """Independent brute-force references the library is cross-checked against.
 
 Everything here is a straight dynamic-programming sieve over the integers,
-except the arithmetic-progression scan at the end, which counts summands;
-none of it shares code with the library's Apery or decomposition paths.
+except the arithmetic-progression scan, which counts summands, and the
+u-number families at the end, which walk the u-sequence by its own two-term
+recurrences; none of it shares code with the library's Apery or
+decomposition paths or with its Pell-equation family test.
 """
 
 from math import gcd
@@ -112,3 +114,27 @@ def ap_power_root(a, d, k, p):
         if not ap_member(a, d, k, m ** p):
             return m, top
     raise AssertionError("1 is in the semigroup")
+
+
+# u_1, u_2, u_3 = 1, 2, 3, then u_{2n} = u_{2n-1} + u_{2n-2} and
+# u_{2n+1} = u_{2n} + u_{2n-2}; grown on demand
+_U = [1, 2, 3]
+
+# each family: the residues of the index n mod 4, and the least n
+_U_FAMILIES = {
+    "d1_square": ((1, 2), 1),
+    "d1_adjacent": ((3, 0), 3),
+    "d2_square": ((1,), 5),
+    "d2_adjacent": ((3,), 3),
+}
+
+
+def u_family_member(b, family):
+    """Whether b = u_n for some n in the family, by walking u_1, u_2, ... up to b."""
+    residues, least = _U_FAMILIES[family]
+    while _U[-1] < b:
+        m = len(_U) + 1
+        _U.append(_U[-1] + (_U[-2] if m % 2 == 0 else _U[-3]))
+    for n, t in enumerate(_U, 1):
+        if t >= b:
+            return t == b and n >= least and n % 4 in residues

@@ -3,12 +3,14 @@
 Each test prints a single PASS/FAIL line (visible with pytest -s) and then
 asserts.  Sweeps are exhaustive over their stated ranges; time budgets are
 wall-clock.  Set SQFROB_ACCEPT_LONG=1 to push the conjecture sweep from 1e5
-to 1e6.
+to 1e6 and to check every u-number up to 1e7 (criterion 9).
 """
 
 import os
 import time
 from math import gcd
+
+import pytest
 
 import sqfrob as sq
 
@@ -162,3 +164,26 @@ def test_criterion_8_u_sequence_prefix():
     want = [1, 2, 3, 5, 7, 12, 17, 29, 41, 70, 99, 169, 239, 408, 577, 985]
     got = [sq.u(n) for n in range(1, 17)]
     _verdict("criterion 8: first 16 u-sequence terms", got == want, f"got={got}")
+
+
+def test_criterion_9_every_u_number_matches_the_oracle():
+    # a = c^2 - d and c^2 for every u-number c, where the d = 1, 2 rule takes
+    # its sqrt3 branch in the row's family and its sqrt2 branch elsewhere
+    if not os.environ.get("SQFROB_ACCEPT_LONG"):
+        pytest.skip("tests/test_closedform.py checks u-numbers to 1e6; the long run goes to 1e7")
+    max_c = 10 ** 7
+    t0 = time.perf_counter()
+    bad, checked, n = [], 0, 1
+    while sq.u(n) <= max_c:
+        c = sq.u(n)
+        for d in (1, 2):
+            for a in (c * c - d, c * c):
+                if a > d and gcd(a, d) == 1:
+                    checked += 1
+                    want = sq.power_frobenius_oracle(sq.ApSemigroup(a, d, 1), 2).value
+                    if sq.square_frobenius_closed(a, d).value != want:
+                        bad.append((d, a))
+        n += 1
+    dt = time.perf_counter() - t0
+    _verdict(f"criterion 9: d=1,2 closed forms equal the oracle at every u-number <= {max_c}",
+             not bad, f"{checked} targets in {dt:.1f}s; bad={bad[:4]}")

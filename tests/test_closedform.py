@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+import naive
 import sqfrob as sq
 from sqfrob import closedform
 
@@ -36,6 +37,16 @@ def test_u_index_set_member(family, members, non_members):
         assert sq.u_index_set_member(b, family), (family, b)
     for b in non_members:
         assert not sq.u_index_set_member(b, family), (family, b)
+
+
+def test_u_index_set_member_matches_the_walk():
+    # the Pell test against the index walk of naive.u_family_member, on every
+    # b in -3..300000 and on u(n) - 1, u(n), u(n) + 1 for n < 200
+    us = [sq.u(n) for n in range(1, 200)]
+    bs = sorted(set(range(-3, 300001)) | {c + e for c in us for e in (-1, 0, 1)})
+    for family in ("d1_square", "d1_adjacent", "d2_square", "d2_adjacent"):
+        got = [b for b in bs if sq.u_index_set_member(b, family)]
+        assert got == [b for b in bs if naive.u_family_member(b, family)], family
 
 
 def test_sq_frob_d3_examples():
@@ -147,12 +158,12 @@ def test_d1_d2_match_oracle_including_nonsquare_branch():
         assert sq.sq_frob_d2(a).value == oracle(a, 2), a
 
 
-def test_every_u_number_up_to_3e5_matches_the_oracle():
+def test_every_u_number_up_to_1e6_matches_the_oracle():
     # a = c^2 - d and c^2 for every u-number c: the four sqrt3 rows of the
     # d = 1, 2 rule where c is in the row's family, the sqrt2 rows elsewhere
     seen = set()
     n = 1
-    while sq.u(n) <= 3 * 10 ** 5:
+    while sq.u(n) <= 10 ** 6:
         c = sq.u(n)
         for d in (1, 2):
             for a in (c * c - d, c * c):

@@ -166,8 +166,9 @@ def test_square_oracle_matches_sum_count_across_the_hand_off(a, d, k):
 @example(2 ** 30 - 1, 40)
 @example(2 ** 30, 39)
 def test_square_oracle_matches_sum_count_either_side_of_2_30(a, d):
-    # k = 1 switches from the offset scan to the packed one at a = 2**30;
-    # top*top <= a*a + (d - 2)*a - d, so with d >= 5 the scan starts above a
+    # k = 1 runs the offset scan on either side of 2**30, where a outgrows
+    # one CPython int digit; top*top <= a*a + (d - 2)*a - d, so with d >= 5
+    # the scan starts above a
     assume(gcd(a, d) == 1)
     _, top = _square_scan_matches_sum_count(a, d)
     assert (top > a) == (d >= 5)
@@ -177,11 +178,9 @@ def test_square_oracle_matches_sum_count_either_side_of_2_30(a, d):
     (2267418, 11, 3, 7, 63),
     (1894981, 14, 2, 8, 0), (1427177, 22, 4, 8, 63),
     (2984002, 33, 2, 30, 0), (2625045, 26, 4, 27, 63),
-    # answers on the first or last lane of a step, k = 1 past a = 2**30 too
-    (1074304007, 29, 1, 512, 0), (2572715, 31, 2, 12, 0), (714369, 17, 3, 8, 0),
-    (1125793, 21, 4, 8, 0),
-    (1079928779, 35, 1, 1147, 63), (6123331, 37, 2, 7, 63), (6584621, 5, 3, 35, 63),
-    (1918897, 40, 4, 43, 63),
+    # answers on the first or last lane of a step
+    (2572715, 31, 2, 12, 0), (714369, 17, 3, 8, 0), (1125793, 21, 4, 8, 0),
+    (6123331, 37, 2, 7, 63), (6584621, 5, 3, 35, 63), (1918897, 40, 4, 43, 63),
     # top = 1: the other 63 lanes hold roots <= 0
     (2, 1, 2, 0, 0), (3, 1, 3, 0, 0), (2, 3, 4, 0, 0),
     # a second root of the same step is missing too, below the answer
@@ -192,8 +191,8 @@ def test_square_oracle_matches_sum_count_either_side_of_2_30(a, d):
     (122346, 5, 3, 3, 63), (61909, 22, 4, 3, 63), (111527, 33, 4, 3, 63),
 ])
 def test_square_oracle_answer_at_a_packed_lane(a, d, k, step, lane):
-    # off the offset route the packed scan tests _LANES roots per step from
-    # top down.  Each answer was found by search and checked against
+    # k >= 2 scans test _LANES roots per step on the packed scan from top
+    # down.  Each answer was found by search and checked against
     # naive.ap_power_root.
     root, top = _square_scan_matches_sum_count(a, d, k)
     assert divmod(top - root, sq.power._LANES) == (step, lane)
@@ -207,11 +206,13 @@ def test_square_oracle_answer_at_a_packed_lane(a, d, k, step, lane):
     # a second root of the same step is missing too, below the answer
     (13095, 8, 0, 0, True), (11381, 32, 0, 1, True), (2232299, 13, 19, 49, True),
     (8364783, 31, 74, 43, True),
+    # past a = 2**30, on 40-bit lanes: the first and the last lane of a step
+    (1302597878, 3, 794, 0, True), (1268807068, 13, 552, 63, False),
 ])
 def test_square_oracle_answer_at_an_offset_packed_lane(a, d, step, lane, second):
-    # the offset scan (k = 1, a < 2**30) tests _OFFSET_HANDOFF roots one at
-    # a time, then the packed scan tests _LANES roots per step; step None is
-    # the last root before the hand-off.  Lane widths are 16, 24 and 32
+    # the offset scan (k = 1) tests _OFFSET_HANDOFF roots one at a time,
+    # then the packed scan tests _LANES roots per step; step None is the
+    # last root before the hand-off.  Lane widths are 16, 24, 32 and 40
     # bits.  Each answer was found by search and checked against
     # naive.ap_power_root.
     root, top = _square_scan_matches_sum_count(a, d)
@@ -233,7 +234,7 @@ def test_square_oracle_answer_at_an_offset_packed_lane(a, d, step, lane, second)
 @example(13095, 8)
 @example(2 ** 30 - 1, 40)
 def test_square_oracle_matches_sum_count_across_the_offset_hand_off(a, d):
-    # k = 1 below 2**30, with a drawn evenly by bit length: scans of a few
+    # k = 1 up to 2**30, with a drawn evenly by bit length: scans of a few
     # dozen roots near a = 10**4 end on the offset loop, the rest (up to
     # about 10**5 roots near 2**30) go on in packed lanes
     assume(gcd(a, d) == 1)
@@ -312,8 +313,9 @@ def test_square_oracle_steps_are_pinned():
     (2538633157, 5, 1, 71254), (10168757624, 7, 2, 94086), (30218068790, 9, 3, 142981),
 ])
 def test_square_oracle_steps_are_pinned_past_2_30(a, d, k, steps):
-    # k = 1 past a = 2**30 and k >= 2 scan on packed lanes from top; each
-    # pin was checked against naive.ap_power_root
+    # k = 1 hands off to packed lanes after _OFFSET_HANDOFF roots, and
+    # k >= 2 scans on them from top; each pin was checked against
+    # naive.ap_power_root
     assert sq.power_frobenius_oracle(sq.ApSemigroup(a, d, k), 2).steps == steps
 
 
@@ -348,13 +350,13 @@ def _scan_route(a, d, k):
 
 @pytest.mark.parametrize("a,d,k,route", [
     (2 ** 30 - 1, 1, 1, "offset"), (2 ** 30 - 3, 40, 1, "offset"), (1000003, 7, 1, "offset"),
-    (2 ** 30, 1, 1, "packed"), (2 ** 30 + 1, 37, 1, "packed"),
+    (2 ** 30, 1, 1, "offset"), (2 ** 30 + 1, 37, 1, "offset"),
     (1009, 3, 2, "packed"), (1000003, 7, 3, "packed"), (2 ** 30 - 1, 1, 4, "packed"),
-    (2538633157, 5, 1, "packed"), (10168757624, 7, 2, "packed"),
+    (2538633157, 5, 1, "offset"), (10168757624, 7, 2, "packed"),
     (30218068790, 9, 3, "packed"),
 ])
 def test_square_scan_route(a, d, k, route):
-    # the sweeps (k = 1, a < 2**30) keep the offset scan, which hands off to
+    # every k = 1 square scan starts on the offset scan, which hands off to
     # the packed scan once its first 224 roots held no answer; every other
     # square scan is packed from its first root
     root, top = _square_scan_matches_sum_count(a, d, k)
